@@ -35,10 +35,8 @@ from .polycyclic import (
     RefinementError,
     SubgroupChain,
     compute_pcgs,
-    decompose,
     get_chain,
     group_order,
-    is_member,
     prime_factors,
     refine_with_primes,
     refinement_exponents,
@@ -69,12 +67,9 @@ from .prover import (
 )
 from .sampling import (
     ExactSampler,
-    SamplerConfig,
     SamplerEscapeError,
     SubproductSampler,
     derive_seed,
-    sample_exact,
-    sample_near_uniform,
     tv_distance_empirical,
 )
 

@@ -20,7 +20,7 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence, TypeVar, Union
 
 ElementCode = bytes
 
@@ -317,9 +317,12 @@ class GroupOracle:
     """Black-box handle to a finite group.
 
     Exposes the encoding length (bits), the generator codes, the identity
-    code, and the two counting oracles.  The oracle is immutable after
-    construction except for its query counters, which are lock-protected
-    and safe to increment from concurrent executions.
+    code, and the two counting oracles.  Besides its query counters, which
+    are lock-protected and safe to increment from concurrent executions,
+    the oracle owns ``precomputed``: the store where ``memoized`` keeps the
+    deterministic precomputation of this group (order, pcgs, refinements,
+    normal-form tables, the honest commitment).  It lives and dies with the
+    oracle.
     """
 
     def __init__(self, backend, relabel_seed: int | None = None):
@@ -333,6 +336,7 @@ class GroupOracle:
         self._lock = threading.Lock()
         self._product_count = 0
         self._inverse_count = 0
+        self.precomputed: dict[tuple, Any] = {}
         self.identity = self._encode(backend.identity_rep())
         self.generators = tuple(self._encode(rep) for rep in backend.generator_reps())
 
@@ -419,6 +423,21 @@ class GroupOracle:
 # ---------------------------------------------------------------------------
 # Operations on top of the oracle
 # ---------------------------------------------------------------------------
+
+T = TypeVar("T")
+
+
+def memoized(G: GroupOracle, key: tuple, build: Callable[[], T]) -> T:
+    """``build()`` computed once per oracle and key, kept in ``G.precomputed``.
+
+    Only deterministic results belong here; a raised exception is not kept.
+    """
+    try:
+        return G.precomputed[key]
+    except KeyError:
+        value = G.precomputed[key] = build()
+        return value
+
 
 def make_group(spec: ConcreteGroupSpec) -> GroupOracle:
     """Instantiate the black-box oracle for a concrete group specification."""

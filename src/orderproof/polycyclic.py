@@ -4,16 +4,18 @@ A polycyclic generating sequence for a finite solvable group is a list of
 elements whose prefix subgroups form a normal tower with cyclic quotients.
 This module computes such sequences by brute force on enumerated fixtures,
 refines them with a descending prime-power exponent schedule so that every
-quotient order is 1 or a known prime, and builds lookup tables mapping each
-element of every prefix subgroup to its unique normal-form exponent tuple.
-The tables double as classical stand-ins for decomposition and membership
-queries that a computationally stronger party would answer.
+quotient order is 1 or a known prime, and builds one normal-form table per
+tower: a dict mapping each element of the generated subgroup to its unique
+exponent tuple, with every prefix subgroup a prefix of the table's
+insertion order.  The table doubles as the classical stand-in for the
+decomposition and membership queries that a computationally stronger
+party would answer.  Every result is memoized on the oracle (see
+``groups.memoized``), so it is freed with the oracle.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,6 +25,7 @@ from .groups import (
     ElementCode,
     GroupOracle,
     enumerate_closure,
+    memoized,
 )
 
 
@@ -91,19 +94,24 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Normal-form tables for a subgroup tower
+# The normal-form table of a subgroup tower
 # ---------------------------------------------------------------------------
 
 class SubgroupChain:
-    """Normal-form tables for the prefix subgroups of a polycyclic sequence.
+    """One normal-form table for every prefix subgroup of a polycyclic sequence.
 
-    Level j holds every element of the subgroup generated by the first j
-    sequence elements, keyed to its unique exponent tuple (a_1, ..., a_j)
-    with a_i below the i-th quotient order.  Construction requires the
-    sequence to be genuinely polycyclic (each prefix subgroup normal in the
-    next); a uniqueness collision during the build raises ChainError, but
+    A single dict maps each element of the generated subgroup to its
+    exponent tuple (a_1, ..., a_k), where k is the first level holding the
+    element and each a_i lies below the i-th quotient order; a single list
+    keeps the codes in insertion order.  Level j, the subgroup generated by
+    the first j sequence elements, is the first ``level_order(j)`` codes of
+    that list, and a code lies in level j exactly when its exponent tuple
+    has length at most j.  Element i is appended by the coset step: level i
+    is the union of the cosets level_{i-1}·h_i^a for a below the i-th
+    quotient order.  That union is the subgroup only when each level is
+    normal in the next; a collision between cosets raises ChainError, but
     callers feeding untrusted sequences must establish normality separately
-    (see ``validate_normality``).
+    (the 3-message commitment check does).
     """
 
     def __init__(
@@ -113,83 +121,85 @@ class SubgroupChain:
         cap: int = DEFAULT_CLOSURE_CAP,
     ):
         self.G = G
-        self.elements = tuple(elements)
-        tables: list[dict[ElementCode, tuple[int, ...]]] = [{G.identity: ()}]
-        orders: list[int] = []
-        for h in self.elements:
-            prev = tables[-1]
-            m, cur = 1, h
-            while cur not in prev:
-                cur = G.product(cur, h)
-                m += 1
-                if m > cap:
-                    raise ClosureOverflowError(
-                        f"quotient order search exceeded cap of {cap}"
-                    )
-            if len(prev) * m > cap:
-                raise ClosureOverflowError(
-                    f"subgroup level exceeded cap of {cap} elements"
-                )
-            table: dict[ElementCode, tuple[int, ...]] = {}
+        self.cap = cap
+        self.elements: tuple[ElementCode, ...] = ()
+        self.quotient_orders: tuple[int, ...] = ()
+        self._exponents: dict[ElementCode, tuple[int, ...]] = {G.identity: ()}
+        self._codes = [G.identity]
+        self._sizes = [1]
+        # Shared zero paddings, so repeated decompositions share their rows.
+        self._zeros: list[tuple[int, ...]] = [()]
+        for h in elements:
+            self._append(h)
+
+    def _append(self, h: ElementCode) -> None:
+        """Grow the tower by h: the next level is the union of level·h^a."""
+        G, cap = self.G, self.cap
+        exponents, codes = self._exponents, self._codes
+        size = len(codes)
+        m, cur = 1, h
+        while cur not in exponents:
+            cur = G.product(cur, h)
+            m += 1
+            if m > cap:
+                raise ClosureOverflowError(f"quotient order search exceeded cap of {cap}")
+        if size * m > cap:
+            raise ClosureOverflowError(f"subgroup level exceeded cap of {cap} elements")
+        if m > 1:
+            zeros = self._zeros
+            level = len(self.elements)
+            prefixes = [e + zeros[level - len(e)] for e in exponents.values()]
             power = G.identity
-            for a in range(m):
-                if a == 0:
-                    for u, exps in prev.items():
-                        table[u] = exps + (0,)
-                else:
-                    power = h if a == 1 else G.product(power, h)
-                    for u, exps in prev.items():
-                        v = G.product(u, power)
-                        if v in table:
-                            raise ChainError(
-                                "normal-form collision: sequence is not polycyclic"
-                            )
-                        table[v] = exps + (a,)
-            tables.append(table)
-            orders.append(m)
-        self._tables = tables
-        self._level_lists = [list(t) for t in tables]
-        self.quotient_orders = tuple(orders)
+            for a in range(1, m):
+                power = h if a == 1 else G.product(power, h)
+                for u, exps in zip(codes[:size], prefixes):
+                    v = G.product(u, power)
+                    if v in exponents:
+                        raise ChainError("normal-form collision: sequence is not polycyclic")
+                    exponents[v] = exps + (a,)
+                    codes.append(v)
+        self.elements += (h,)
+        self.quotient_orders += (m,)
+        self._sizes.append(len(codes))
+        self._zeros.append(self._zeros[-1] + (0,))
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    def _check_level(self, j: int) -> None:
+        if not 0 <= j <= len(self.elements):
+            raise ValueError(f"level {j} out of range 0..{len(self.elements)}")
+
     def level_order(self, j: int) -> int:
         """Size of the j-th prefix subgroup (level 0 is the trivial group)."""
-        return len(self._tables[j])
+        return self._sizes[j]
+
+    def level_element(self, j: int, k: int) -> ElementCode:
+        """The k-th element of the j-th prefix subgroup, 0 <= k < level_order(j)."""
+        if not 0 <= k < self._sizes[j]:
+            raise IndexError(f"index {k} out of range for level {j}")
+        return self._codes[k]
 
     def level_elements(self, j: int) -> list[ElementCode]:
-        """All elements of the j-th prefix subgroup, in deterministic order."""
-        return self._level_lists[j]
+        """A copy of the j-th prefix subgroup's elements, in insertion order."""
+        return self._codes[: self._sizes[j]]
 
     def group_order(self) -> int:
-        return len(self._tables[-1])
+        return len(self._codes)
 
     def is_member(self, j: int, h: ElementCode) -> bool:
-        return h in self._tables[j]
+        """Whether h lies in the j-th prefix subgroup."""
+        self._check_level(j)
+        exps = self._exponents.get(h)
+        return exps is not None and len(exps) <= j
 
     def decompose(self, j: int, h: ElementCode) -> tuple[int, ...] | None:
-        """Normal-form exponents of h over level j, or None if not a member."""
-        return self._tables[j].get(h)
-
-    def validate_normality(self) -> None:
-        """Check each prefix subgroup is normal in the next; raise ChainError.
-
-        Conjugates of every earlier sequence element by the new one must land
-        in the previous level, which (the levels being finite) is equivalent
-        to normality.
-        """
-        G = self.G
-        for i in range(1, len(self.elements)):
-            h = self.elements[i]
-            h_inv = G.inverse(h)
-            for earlier in self.elements[:i]:
-                conj = G.product(G.product(h, earlier), h_inv)
-                if not self.is_member(i, conj):
-                    raise ChainError(f"prefix subgroup {i} is not normal in level {i + 1}")
-
-
-_chain_cache: "weakref.WeakKeyDictionary[GroupOracle, dict]" = weakref.WeakKeyDictionary()
+        """Normal-form exponents (a_1..a_j) of h over level j, or None if not a member."""
+        self._check_level(j)
+        exps = self._exponents.get(h)
+        if exps is None or len(exps) > j:
+            return None
+        return exps + self._zeros[j - len(exps)]
 
 
 def get_chain(
@@ -197,27 +207,14 @@ def get_chain(
     elements: Sequence[ElementCode],
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> SubgroupChain:
-    """Memoized SubgroupChain lookup (chains are immutable and shareable)."""
-    per_group = _chain_cache.setdefault(G, {})
-    key = (tuple(elements), cap)
-    chain = per_group.get(key)
-    if chain is None:
-        chain = SubgroupChain(G, elements, cap)
-        per_group[key] = chain
-    return chain
-
-
-_order_cache: "weakref.WeakKeyDictionary[GroupOracle, dict]" = weakref.WeakKeyDictionary()
+    """Memoized SubgroupChain lookup (chains are never changed once built)."""
+    elements = tuple(elements)
+    return memoized(G, ("chain", elements, cap), lambda: SubgroupChain(G, elements, cap))
 
 
 def group_order(G: GroupOracle, cap: int = DEFAULT_CLOSURE_CAP) -> int:
     """Order of the full group by closure enumeration (memoized)."""
-    per_group = _order_cache.setdefault(G, {})
-    order = per_group.get(cap)
-    if order is None:
-        order = len(enumerate_closure(G, G.generators, cap))
-        per_group[cap] = order
-    return order
+    return memoized(G, ("order", cap), lambda: len(enumerate_closure(G, G.generators, cap)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,42 +272,31 @@ def _derived_series(
     return series
 
 
-_pcgs_cache: "weakref.WeakKeyDictionary[GroupOracle, dict]" = weakref.WeakKeyDictionary()
-
-
 def compute_pcgs(G: GroupOracle, cap: int = DEFAULT_CLOSURE_CAP) -> PolycyclicSequence:
     """Polycyclic generating sequence via the derived series (memoized).
 
     Walks the derived series from the bottom up; inside each abelian layer
     any greedy choice of new generators keeps every prefix subgroup normal
     in the next, and each addition at least doubles the prefix subgroup, so
-    the sequence length is at most log2 of the group order per layer.
-    Raises NotSolvableError when the derived series does not reach the
-    trivial group.
+    the sequence length is at most log2 of the group order per layer.  The
+    normality lets the sequence's chain grow by the coset step, and that
+    chain is kept for ``get_chain``.  Raises NotSolvableError when the
+    derived series does not reach the trivial group.
     """
-    per_group = _pcgs_cache.setdefault(G, {})
-    cached = per_group.get(cap)
-    if cached is not None:
-        return cached
+    return memoized(G, ("pcgs", cap), lambda: _build_pcgs(G, cap))
 
+
+def _build_pcgs(G: GroupOracle, cap: int) -> PolycyclicSequence:
     series = _derived_series(G, cap)
-    sequence: list[ElementCode] = []
-    reached = {G.identity}
+    chain = SubgroupChain(G, (), cap)
     for layer in reversed(series):
-        target_size = len(layer)
-        if len(reached) == target_size:
-            continue
         for candidate in sorted(layer):
-            if candidate in reached:
-                continue
-            sequence.append(candidate)
-            reached = set(enumerate_closure(G, sequence, cap))
-            if len(reached) == target_size:
+            if chain.group_order() == len(layer):
                 break
-    chain = get_chain(G, sequence, cap)
-    result = PolycyclicSequence(tuple(sequence), None, chain.quotient_orders)
-    per_group[cap] = result
-    return result
+            if not chain.is_member(len(chain), candidate):
+                chain._append(candidate)
+    memoized(G, ("chain", chain.elements, cap), lambda: chain)
+    return PolycyclicSequence(chain.elements, None, chain.quotient_orders)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +331,6 @@ def refinement_exponents(primes: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(schedule)
 
 
-_refine_cache: "weakref.WeakKeyDictionary[GroupOracle, dict]" = weakref.WeakKeyDictionary()
-
-
 def refine_with_primes(
     G: GroupOracle,
     pcgs: PolycyclicSequence,
@@ -375,63 +358,28 @@ def refine_with_primes(
     if not ordered:
         raise RefinementError("prime set must cover the group order; got an empty set")
 
-    per_group = _refine_cache.setdefault(G, {})
-    key = (pcgs.elements, ordered, n, cap)
-    cached = per_group.get(key)
-    if cached is not None:
-        return cached
+    def build() -> PolycyclicSequence:
+        schedule = refinement_exponents(ordered, n)
+        elements: list[ElementCode] = []
+        attached: list[int] = []
+        for k in pcgs.elements:
+            for j, exponent in enumerate(schedule):
+                elements.append(G.power(k, exponent))
+                attached.append(ordered[0] if j == 0 else schedule[j - 1] // schedule[j])
 
-    schedule = refinement_exponents(ordered, n)
-    elements: list[ElementCode] = []
-    attached: list[int] = []
-    for k in pcgs.elements:
-        for j, exponent in enumerate(schedule):
-            elements.append(G.power(k, exponent))
-            attached.append(ordered[0] if j == 0 else schedule[j - 1] // schedule[j])
-
-    chain = get_chain(G, elements, cap)
-    orders = chain.quotient_orders
-    for i, (m, r) in enumerate(zip(orders, attached)):
-        if m not in (1, r):
+        chain = get_chain(G, elements, cap)
+        orders = chain.quotient_orders
+        for i, (m, r) in enumerate(zip(orders, attached)):
+            if m not in (1, r):
+                raise RefinementError(
+                    f"quotient order {m} at position {i + 1} is not in {{1, {r}}}; "
+                    f"the prime set {list(ordered)} may be missing a factor of the order"
+                )
+        expected = group_order(G, cap)
+        if chain.group_order() != expected:
             raise RefinementError(
-                f"quotient order {m} at position {i + 1} is not in {{1, {r}}}; "
-                f"the prime set {list(ordered)} may be missing a factor of the order"
+                f"refined sequence generates {chain.group_order()} of {expected} elements"
             )
-    expected = group_order(G, cap)
-    if chain.group_order() != expected:
-        raise RefinementError(
-            f"refined sequence generates {chain.group_order()} of {expected} elements"
-        )
-    result = PolycyclicSequence(tuple(elements), tuple(attached), orders)
-    per_group[key] = result
-    return result
+        return PolycyclicSequence(tuple(elements), tuple(attached), orders)
 
-
-# ---------------------------------------------------------------------------
-# Decomposition and membership (classical stand-ins)
-# ---------------------------------------------------------------------------
-
-def decompose(
-    G: GroupOracle,
-    pcgs: PolycyclicSequence,
-    j: int,
-    h: ElementCode,
-    cap: int = DEFAULT_CLOSURE_CAP,
-) -> tuple[int, ...] | None:
-    """Exponents (a_1..a_j) with h equal to the normal-form word, else None."""
-    if not 0 <= j <= len(pcgs.elements):
-        raise ValueError(f"level {j} out of range 0..{len(pcgs.elements)}")
-    return get_chain(G, pcgs.elements, cap).decompose(j, h)
-
-
-def is_member(
-    G: GroupOracle,
-    pcgs: PolycyclicSequence,
-    j: int,
-    h: ElementCode,
-    cap: int = DEFAULT_CLOSURE_CAP,
-) -> bool:
-    """Whether h lies in the j-th prefix subgroup."""
-    if not 0 <= j <= len(pcgs.elements):
-        raise ValueError(f"level {j} out of range 0..{len(pcgs.elements)}")
-    return get_chain(G, pcgs.elements, cap).is_member(j, h)
+    return memoized(G, ("refine", pcgs.elements, ordered, n, cap), build)

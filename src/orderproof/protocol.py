@@ -225,9 +225,9 @@ def _draw_subgroup_element(
     G: GroupOracle, chain: SubgroupChain, level: int, rng: Random
 ) -> ElementCode:
     """Near-uniform element of a prefix subgroup (exact below the threshold)."""
-    pool = chain.level_elements(level)
-    if len(pool) <= EXACT_SAMPLER_MAX:
-        return pool[rng.randrange(len(pool))]
+    size = chain.level_order(level)
+    if size <= EXACT_SAMPLER_MAX:
+        return chain.level_element(level, rng.randrange(size))
     epsilon = 2.0 ** -min(2 * G.encoding_length, 1000)
     sampler = SubproductSampler(G, chain.elements[:level], epsilon, rng)
     return sampler.draw()
@@ -286,12 +286,12 @@ def verifier_check_commitment(
 ) -> str | None:
     """Run the commitment checks; return an abort reason or None on pass.
 
-    Shape validation first (lengths, integer ranges, primality, the tower
-    length guardrail), then the three families of equality checks: each
-    group generator decomposes over the full tower, each element's claimed
-    prime power falls back into its prefix (with the first element's power
-    equal to the identity), and each conjugate of an earlier element falls
-    back into the prefix.  Passing certifies the committed sequence is a
+    Shape validation first (the tower length guardrail, lengths, integer
+    ranges, primes bounded by 2^n before primality), then the three
+    families of equality checks: each group generator decomposes over the
+    full tower, each element's claimed prime power falls back into its
+    prefix (with the first element's power equal to the identity), and each
+    conjugate of an earlier element falls back into the prefix.  Passing certifies the committed sequence is a
     polycyclic tower for the whole group with quotient orders in {1, r_i}.
     """
     t = commitment.length
@@ -306,8 +306,12 @@ def verifier_check_commitment(
         return "primes list length does not match the committed sequence"
     if any(not isinstance(code, bytes) for code in commitment.elements):
         return "committed element codes must be byte strings"
+    # Quotient orders divide |G| <= 2^n, so a larger "prime" is rejected
+    # before trial division could stall on it.
     for r in commitment.primes:
-        if not isinstance(r, int) or not is_prime(r):
+        if not isinstance(r, int) or isinstance(r, bool) or r > exponent_cap:
+            return f"committed value {r!r} is not a prime up to 2^n"
+        if not is_prime(r):
             return f"committed value {r!r} is not a prime"
 
     def bad_row(row, expected_len) -> bool:
@@ -367,16 +371,19 @@ def verifier_finalize(state: VerifierState, response: Response) -> Outcome:
     """
     G = state.G
     t = len(state.elements)
-    if len(response.bits) != t or len(response.exponents) != t:
+    bits, exponents = response.bits, response.exponents
+    if not isinstance(bits, (tuple, list)) or not isinstance(exponents, (tuple, list)):
+        return Outcome.abort("response bits and exponents must be sequences")
+    if len(bits) != t or len(exponents) != t:
         return Outcome.abort("response shape does not match the round count")
     exponent_cap = 1 << G.encoding_length
     factors = []
     for i in range(1, t + 1):
-        bit = response.bits[i - 1]
-        row = response.exponents[i - 1]
+        bit = bits[i - 1]
+        row = exponents[i - 1]
         if bit not in (0, 1) or isinstance(bit, bool):
             return Outcome.abort(f"round {i}: bit is not 0 or 1")
-        if len(row) != i - 1:
+        if not isinstance(row, (tuple, list)) or len(row) != i - 1:
             return Outcome.abort(f"round {i}: exponent row has wrong length")
         if any(not isinstance(a, int) or isinstance(a, bool) for a in row):
             return Outcome.abort(f"round {i}: non-integer exponent")

@@ -15,14 +15,12 @@ campaigns are reproducible seed by seed.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
-from .groups import DEFAULT_CLOSURE_CAP, ElementCode, GroupOracle
+from .groups import DEFAULT_CLOSURE_CAP, ElementCode, GroupOracle, memoized
 from .polycyclic import (
-    PolycyclicSequence,
     SubgroupChain,
     compute_pcgs,
     get_chain,
@@ -115,11 +113,6 @@ def build_commitment(
     )
 
 
-_honest_commitment_cache: "weakref.WeakKeyDictionary[GroupOracle, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def honest_commitment(G: GroupOracle, cap: int = DEFAULT_CLOSURE_CAP) -> Commitment:
     """The commitment an honest prover sends (memoized: it is deterministic).
 
@@ -128,26 +121,13 @@ def honest_commitment(G: GroupOracle, cap: int = DEFAULT_CLOSURE_CAP) -> Commitm
     the commitment must certify.  Raises NotSolvableError for groups with
     no polycyclic sequence (the honest prover gives up).
     """
-    per_group = _honest_commitment_cache.setdefault(G, {})
-    cached = per_group.get(cap)
-    if cached is not None:
-        return cached
-    order = group_order(G, cap)
-    factors = prime_factors(order)
-    base = compute_pcgs(G, cap)
-    refined = refine_with_primes(G, base, factors, cap=cap)
-    commitment = build_commitment(G, refined.elements, refined.primes or (), cap)
-    per_group[cap] = commitment
-    return commitment
 
+    def build() -> Commitment:
+        factors = prime_factors(group_order(G, cap))
+        refined = refine_with_primes(G, compute_pcgs(G, cap), factors, cap=cap)
+        return build_commitment(G, refined.elements, refined.primes or (), cap)
 
-def honest_refined_sequence(
-    G: GroupOracle, cap: int = DEFAULT_CLOSURE_CAP
-) -> PolycyclicSequence:
-    """The refined sequence behind the honest commitment."""
-    order = group_order(G, cap)
-    base = compute_pcgs(G, cap)
-    return refine_with_primes(G, base, prime_factors(order), cap=cap)
+    return memoized(G, ("honest_commitment", cap), build)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +350,7 @@ class OrderForgerProver(HonestProver):
         if order < 2:
             return honest
         chain = get_chain(self.G, honest.elements, self.cap)
-        extra = chain.level_elements(len(chain))[self.rng.randrange(order)]
+        extra = chain.level_element(len(chain), self.rng.randrange(order))
         claimed_prime = prime_factors(order)[0]
         elements = honest.elements + (extra,)
         primes = honest.primes + (claimed_prime,)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from random import Random
 from typing import Collection, Mapping, Sequence
 
@@ -27,21 +26,6 @@ from .groups import (
 
 class SamplerEscapeError(ValueError):
     """An observed element lies outside the claimed subgroup."""
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Sampler selection for diagnostics runs."""
-
-    epsilon: float
-    mode: str  # "exact" | "subproduct"
-    rng_seed: int = 0
-
-    def validate(self) -> None:
-        if self.mode not in ("exact", "subproduct"):
-            raise ValueError(f"unknown sampler mode {self.mode!r}")
-        if self.mode == "subproduct" and not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -113,26 +97,6 @@ class SubproductSampler:
 
     def draw(self) -> ElementCode:
         return self._subproduct()
-
-
-def sample_exact(
-    G: GroupOracle,
-    gens: Sequence[ElementCode],
-    seed_or_rng=0,
-    cap: int = DEFAULT_CLOSURE_CAP,
-) -> ElementCode:
-    """One exactly uniform draw from the subgroup generated by ``gens``."""
-    return ExactSampler(G, gens, seed_or_rng, cap).draw()
-
-
-def sample_near_uniform(
-    G: GroupOracle,
-    gens: Sequence[ElementCode],
-    epsilon: float,
-    seed_or_rng=0,
-) -> ElementCode:
-    """One near-uniform draw from the subgroup generated by ``gens``."""
-    return SubproductSampler(G, gens, epsilon, seed_or_rng).draw()
 
 
 def tv_distance_empirical(

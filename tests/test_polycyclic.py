@@ -1,23 +1,20 @@
 import math
-from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderproof import (
-    ChainError,
     NotSolvableError,
     PolycyclicSequence,
+    ProverError,
     RefinementError,
-    SubgroupChain,
+    build_commitment,
     compute_pcgs,
-    decompose,
     enumerate_closure,
     eval_word,
     get_chain,
     group_order,
-    is_member,
     make_group,
     parse_group_spec,
     prime_factors,
@@ -77,6 +74,16 @@ def test_prime_helpers():
 
 # -- computing a polycyclic sequence ------------------------------------------
 
+def _assert_normal_tower(G, pcgs):
+    """Each prefix subgroup is normal in the next.
+
+    ``build_commitment`` decomposes every conjugate of an earlier element by
+    a later one over the prefix before the later one, and raises
+    ProverError when one escapes it.
+    """
+    build_commitment(G, pcgs.elements, pcgs.quotient_orders)
+
+
 def test_pcgs_trivial_group(group_for):
     G = group_for("cyclic:1")
     assert len(compute_pcgs(G).elements) == 0
@@ -86,7 +93,7 @@ def test_pcgs_cyclic12(group_for):
     G = group_for("cyclic:12")
     pcgs = compute_pcgs(G)
     assert len(enumerate_closure(G, pcgs.elements)) == 12
-    get_chain(G, pcgs.elements).validate_normality()
+    _assert_normal_tower(G, pcgs)
 
 
 def test_pcgs_s3_has_three_cycle_first(group_for):
@@ -113,7 +120,7 @@ def test_pcgs_generates_and_is_normal_tower(group_for, spec):
     pcgs = compute_pcgs(G)
     chain = get_chain(G, pcgs.elements)
     assert chain.group_order() == group_order(G)
-    chain.validate_normality()
+    _assert_normal_tower(G, pcgs)
     assert math.prod(chain.quotient_orders) == group_order(G)
 
 
@@ -167,52 +174,51 @@ def test_refine_missing_prime_is_rejected(group_for):
 
 def _manual_chain(G):
     g = G.generators[0]
-    return PolycyclicSequence((G.power(g, 6), G.power(g, 3), g))
+    return get_chain(G, (G.power(g, 6), G.power(g, 3), g))
 
 
 def test_decompose_identity_is_zeros(group_for):
     G = group_for("cyclic:12")
-    seq = _manual_chain(G)
-    assert decompose(G, seq, 3, G.identity) == (0, 0, 0)
+    assert _manual_chain(G).decompose(3, G.identity) == (0, 0, 0)
 
 
 def test_decompose_eleven(group_for):
     G = group_for("cyclic:12")
-    seq = _manual_chain(G)
-    assert get_chain(G, seq.elements).quotient_orders == (2, 2, 3)
-    assert decompose(G, seq, 3, G.power(G.generators[0], 11)) == (1, 1, 2)
+    chain = _manual_chain(G)
+    assert chain.quotient_orders == (2, 2, 3)
+    assert chain.decompose(3, G.power(G.generators[0], 11)) == (1, 1, 2)
 
 
 def test_decompose_non_member(group_for):
     G = group_for("perm:3:(1 2),(1 2 3)")
-    seq = PolycyclicSequence((G.generators[1],))  # the 3-cycle
-    assert decompose(G, seq, 1, G.generators[0]) is None
-    assert not is_member(G, seq, 1, G.generators[0])
+    chain = get_chain(G, (G.generators[1],))  # the 3-cycle
+    assert chain.decompose(1, G.generators[0]) is None
+    assert not chain.is_member(1, G.generators[0])
 
 
 def test_is_member_level_zero(group_for):
     G = group_for("cyclic:12")
-    seq = _manual_chain(G)
-    assert is_member(G, seq, 0, G.identity)
-    assert not is_member(G, seq, 0, G.generators[0])
+    chain = _manual_chain(G)
+    assert chain.is_member(0, G.identity)
+    assert not chain.is_member(0, G.generators[0])
 
 
 def test_is_member_proper_subgroup(group_for):
     G = group_for("cyclic:12")
     g = G.generators[0]
-    seq = PolycyclicSequence((G.power(g, 6),))
-    assert not is_member(G, seq, 1, G.power(g, 3))
-    for code in enumerate_closure(G, seq.elements):
-        assert is_member(G, seq, 1, code)
+    chain = get_chain(G, (G.power(g, 6),))
+    assert not chain.is_member(1, G.power(g, 3))
+    for code in enumerate_closure(G, chain.elements):
+        assert chain.is_member(1, code)
 
 
 def test_level_bounds_checked(group_for):
     G = group_for("cyclic:12")
-    seq = _manual_chain(G)
+    chain = _manual_chain(G)
     with pytest.raises(ValueError):
-        decompose(G, seq, 4, G.identity)
+        chain.decompose(4, G.identity)
     with pytest.raises(ValueError):
-        is_member(G, seq, -1, G.identity)
+        chain.is_member(-1, G.identity)
 
 
 def test_decompose_eval_word_round_trip(group_for, protocol_fixtures):
@@ -220,12 +226,30 @@ def test_decompose_eval_word_round_trip(group_for, protocol_fixtures):
         G = group_for(spec)
         refined = refine_with_primes(G, compute_pcgs(G), primes)
         chain = get_chain(G, refined.elements)
-        pool = chain.level_elements(len(refined.elements))
-        rng = Random(13)
-        for _ in range(1000):
-            h = rng.choice(pool)
-            exps = chain.decompose(len(refined.elements), h)
-            assert eval_word(G, refined.elements, exps) == h
+        for j in range(len(chain) + 1):
+            for k in range(chain.level_order(j)):
+                h = chain.level_element(j, k)
+                exps = chain.decompose(j, h)
+                assert len(exps) == j
+                assert eval_word(G, refined.elements[:j], exps) == h
+
+
+@pytest.mark.parametrize(
+    "spec,primes",
+    [("cyclic:12", (2, 3)), ("perm:4:(1 2),(1 2 3 4)", (2, 3)), ("perm:4:(1 2 3 4),(1 3)", (2,))],
+)
+def test_levels_are_prefixes_equal_to_closures(group_for, spec, primes):
+    G = group_for(spec)
+    for elements in (compute_pcgs(G).elements,
+                     refine_with_primes(G, compute_pcgs(G), primes).elements):
+        chain = get_chain(G, elements)
+        for j in range(len(chain) + 1):
+            level = chain.level_elements(j)
+            assert len(level) == chain.level_order(j)
+            assert set(level) == set(enumerate_closure(G, elements[:j]))
+            assert all(chain.is_member(j, h) for h in level)
+            if j < len(chain):
+                assert chain.level_elements(j + 1)[: len(level)] == level
 
 
 def test_normal_form_bijection_cyclic12(group_for):
@@ -239,17 +263,25 @@ def test_normal_form_bijection_cyclic12(group_for):
     assert len(seen) == 12
 
 
-def test_validate_normality_catches_non_polycyclic():
+def test_build_commitment_catches_non_polycyclic():
     G = make_group(parse_group_spec("perm:3:(1 2),(1 3)"))
     swap12, swap13 = G.generators
     # <(1 2)> is not normal in S3, so this 2-element sequence is not a
     # polycyclic tower even though normal forms happen not to collide.
-    chain = SubgroupChain(G, (swap12, swap13))
-    with pytest.raises(ChainError):
-        chain.validate_normality()
+    assert get_chain(G, (swap12, swap13)).group_order() == 4
+    with pytest.raises(ProverError, match="escapes the prefix"):
+        _assert_normal_tower(G, PolycyclicSequence((swap12, swap13), None, (2, 2)))
 
 
 def test_chain_caching_returns_same_object(group_for):
     G = group_for("cyclic:12")
-    seq = _manual_chain(G)
-    assert get_chain(G, seq.elements) is get_chain(G, seq.elements)
+    assert _manual_chain(G) is _manual_chain(G)
+
+
+def test_pcgs_chain_is_the_memoized_chain(group_for):
+    G = make_group(parse_group_spec("perm:4:(1 2),(1 2 3 4)"))
+    pcgs = compute_pcgs(G)
+    queries = G.query_counts()
+    chain = get_chain(G, pcgs.elements)
+    assert G.query_counts() == queries
+    assert chain.quotient_orders == pcgs.quotient_orders

@@ -1,3 +1,7 @@
+import gc
+import hashlib
+import time
+import weakref
 from random import Random
 
 import pytest
@@ -12,7 +16,9 @@ from orderproof import (
     get_chain,
     group_order,
     honest_commitment,
+    make_group,
     make_prover,
+    parse_group_spec,
     refine_with_primes,
     run_protocol_2msg,
     run_protocol_3msg,
@@ -107,6 +113,18 @@ def test_non_prime_entry_aborts(group_for):
     assert "not a prime" in verifier_check_commitment(G, G.generators, tampered)
 
 
+@pytest.mark.parametrize("prime", [2**61 - 1, True])
+def test_hostile_prime_aborts_before_trial_division(group_for, prime):
+    # Trial division on 2^61 - 1 would run for minutes; quotient orders
+    # divide |G| <= 2^n, so the bound rejects it first.
+    G = group_for("perm:4:(1 2),(1 2 3 4)")
+    hostile = Commitment((G.generators[0],), (prime,), ((1,),) * len(G.generators), (), ())
+    started = time.perf_counter()
+    reason = verifier_check_commitment(G, G.generators, hostile)
+    assert time.perf_counter() - started < 1.0
+    assert "not a prime up to 2^n" in reason
+
+
 def test_length_guardrail(group_for):
     G = group_for("cyclic:12")
     too_long = Commitment(
@@ -189,6 +207,31 @@ def test_finalize_rejects_malformed_shapes(group_for):
         Response(bits=(True, 0, 1), exponents=((), (0,), (0, 0))),
     ):
         assert verifier_finalize(state, response).aborted
+
+
+def _malformed_response(shape, t):
+    """A response whose first malformed field is a non-sequence."""
+    bits, rows = (0,) * t, tuple((0,) * i for i in range(t))
+    return {
+        "int-row": Response(bits, (0,) + rows[1:]),
+        "none-row": Response(bits, (None,) + rows[1:]),
+        "int-exponents": Response(bits, t),
+        "none-exponents": Response(bits, None),
+        "int-bits": Response(t, rows),
+        "none-bits": Response(None, rows),
+    }[shape]
+
+
+@pytest.mark.parametrize(
+    "shape", ["int-row", "none-row", "int-exponents", "none-exponents", "int-bits", "none-bits"]
+)
+def test_finalize_aborts_on_non_sequence_fields(group_for, shape):
+    G = group_for("perm:4:(1 2),(1 2 3 4)")
+    state, _ = verifier_setup_2msg(G, (2, 3), 0)
+    response = _malformed_response(shape, len(state.elements))
+    assert verifier_finalize(state, response).aborted
+    state.reduce_exponents = False
+    assert verifier_finalize(state, response).aborted
 
 
 def test_finalize_2msg_reduces_exponents(group_for):
@@ -290,6 +333,48 @@ def test_subproduct_branch_still_completes(group_for, monkeypatch):
     G = group_for("cyclic:12")
     outcome, _ = run_protocol_2msg(G, (2, 3), _factory("honest"), 5)
     assert outcome == Outcome.of(12)
+
+
+S4 = "perm:4:(1 2),(1 2 3 4)"
+
+#: blake2b-128 of ``canonical_bytes()`` for seeded S4 runs, pinned so that a
+#: change to table layout or sampling order cannot silently alter transcripts.
+PINNED_S4_DIGESTS = {
+    ("2msg", "honest", 1): "6f538565ec25b82789fd1c92f765495f",
+    ("2msg", "honest", 2): "dfa8b28bc36c7b627651c3a4c867f94c",
+    ("2msg", "guess_inflate", 1): "e9ec09500acdc47d54fc99b9df956d15",
+    ("2msg", "guess_inflate", 2): "26fd9b2b2844b88628aebe61414e52e1",
+    ("3msg", "honest", 1): "c94592767e77b1f0f00a40ba7edb2466",
+    ("3msg", "honest", 2): "9ae72c141f456a1731486de07faf29be",
+    ("3msg", "guess_inflate", 1): "7e1abce4d13cf828c8a04c5019dbb60c",
+    ("3msg", "guess_inflate", 2): "7e22ffbe503a2bbe4ad76d950ccc4ff1",
+}
+
+
+def _run(G, protocol, prover, seed):
+    if protocol == "2msg":
+        return run_protocol_2msg(G, (2, 3), _factory(prover), seed)
+    return run_protocol_3msg(G, _factory(prover), seed)
+
+
+@pytest.mark.parametrize("protocol,prover,seed", sorted(PINNED_S4_DIGESTS))
+def test_transcript_digests_are_pinned(protocol, prover, seed):
+    G = make_group(parse_group_spec(S4))
+    _, transcript = _run(G, protocol, prover, seed)
+    digest = hashlib.blake2b(transcript.canonical_bytes(), digest_size=16).hexdigest()
+    assert digest == PINNED_S4_DIGESTS[(protocol, prover, seed)]
+
+
+@pytest.mark.parametrize("protocol", ["2msg", "3msg"])
+def test_oracle_is_freed_after_runs(protocol):
+    G = make_group(parse_group_spec(S4))
+    for prover in ("honest", "guess_inflate", "order_forger"):
+        _run(G, protocol, prover, 3)
+    assert G.precomputed
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None
 
 
 # -- repetition -----------------------------------------------------------------

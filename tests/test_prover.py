@@ -8,20 +8,28 @@ from orderproof import (
     PROVERS,
     ProverError,
     build_commitment,
+    compute_pcgs,
     eval_word,
     get_chain,
+    group_order,
     honest_commitment,
     list_adversaries,
     make_prover,
+    prime_factors,
+    refine_with_primes,
     run_protocol_2msg,
     run_protocol_3msg,
     verifier_check_commitment,
 )
-from orderproof.prover import honest_refined_sequence
 
 
 def _factory(name):
     return lambda G, rng: make_prover(name, G, rng)
+
+
+def _honest_refined_sequence(G):
+    """The refined sequence behind the honest commitment."""
+    return refine_with_primes(G, compute_pcgs(G), prime_factors(group_order(G)))
 
 
 def test_registry_and_listing():
@@ -77,7 +85,7 @@ def test_build_commitment_rejects_non_generating_sequence(group_for):
 
 def test_honest_response_cases(group_for):
     G = group_for("cyclic:12")
-    refined = honest_refined_sequence(G)
+    refined = _honest_refined_sequence(G)
     chain = get_chain(G, refined.elements)
     prover = HonestProver(G, Random(0))
 
@@ -114,7 +122,7 @@ def test_honest_response_cases(group_for):
 
 def test_deflate_has_no_winning_exponents(group_for):
     G = group_for("cyclic:12")
-    refined = honest_refined_sequence(G)
+    refined = _honest_refined_sequence(G)
     chain = get_chain(G, refined.elements)
     for i, m in enumerate(chain.quotient_orders, start=1):
         if m > 1:

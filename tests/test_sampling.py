@@ -5,13 +5,10 @@ import pytest
 
 from orderproof import (
     ExactSampler,
-    SamplerConfig,
     SamplerEscapeError,
     SubproductSampler,
     derive_seed,
     enumerate_closure,
-    sample_exact,
-    sample_near_uniform,
     tv_distance_empirical,
 )
 
@@ -68,11 +65,11 @@ def test_subproduct_tv_small_on_s3(group_for):
     assert tv_distance_empirical(counts, members) <= 0.05
 
 
-def test_one_shot_helpers(group_for):
+def test_one_shot_draws(group_for):
     G = group_for("cyclic:12")
     members = set(enumerate_closure(G, G.generators))
-    assert sample_exact(G, G.generators, 1) in members
-    assert sample_near_uniform(G, G.generators, 2.0**-6, 1) in members
+    assert ExactSampler(G, G.generators, 1).draw() in members
+    assert SubproductSampler(G, G.generators, 2.0**-6, 1).draw() in members
 
 
 def test_tv_distance_exact_uniform_is_zero(group_for):
@@ -116,11 +113,6 @@ def test_epsilon_validation(group_for):
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
             SubproductSampler(G, G.generators, bad, 0)
-    with pytest.raises(ValueError):
-        SamplerConfig(epsilon=0.0, mode="subproduct").validate()
-    with pytest.raises(ValueError):
-        SamplerConfig(epsilon=0.5, mode="magic").validate()
-    SamplerConfig(epsilon=0.5, mode="exact").validate()
 
 
 def test_derive_seed_is_stable_and_distinct():

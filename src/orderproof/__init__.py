@@ -34,6 +34,7 @@ from .polycyclic import (
     PolycyclicSequence,
     RefinementError,
     SubgroupChain,
+    compact_tower,
     compute_pcgs,
     get_chain,
     group_order,
@@ -45,6 +46,7 @@ from .protocol import (
     Challenge,
     Outcome,
     Transcript,
+    WireError,
     challenge_code_distribution,
     run_protocol_2msg,
     run_protocol_3msg,
@@ -62,6 +64,7 @@ from .prover import (
     Response,
     build_commitment,
     honest_commitment,
+    inflatable_rounds,
     list_adversaries,
     make_prover,
 )

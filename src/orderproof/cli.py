@@ -5,7 +5,9 @@ Subcommands:
   run           seeded Monte-Carlo campaign of one protocol vs one prover
   fixtures      list the built-in group fixtures with orders and solvability
   sampler-test  uniformity diagnostics for the exact and subproduct samplers
-  pcgs          print a (refined) polycyclic sequence for a group
+  pcgs          print a (refined) polycyclic sequence for a group; with
+                --primes also the rounds, trivial rounds and inflatable
+                rounds of its compacted tower
 
 Group specs use the grammar ``cyclic:12``, ``direct:cyclic:4,cyclic:3``,
 ``perm:4:(1 2),(1 2 3 4)``, optionally suffixed with ``@seed=<u64>`` for a
@@ -30,11 +32,13 @@ from .harness import ExperimentConfig, UsageError, run_experiment
 from .polycyclic import (
     NotSolvableError,
     RefinementError,
+    compact_tower,
     compute_pcgs,
     get_chain,
+    group_order,
     refine_with_primes,
 )
-from .prover import list_adversaries
+from .prover import inflatable_rounds, list_adversaries
 from .sampling import ExactSampler, SubproductSampler, tv_distance_empirical
 
 
@@ -155,23 +159,24 @@ def _cmd_sampler_test(args) -> int:
 
 def _cmd_pcgs(args) -> int:
     G = make_group(parse_group_spec(args.group))
-    base = compute_pcgs(G)
+    sequence = compute_pcgs(G)
     primes = _parse_primes(args.primes)
+    payload = {"group": args.group, "group_order": group_order(G)}
     if primes is not None:
-        sequence = refine_with_primes(G, base, primes)
-    else:
-        sequence = base
-    chain = get_chain(G, sequence.elements)
-    _emit(
-        {
-            "group": args.group,
-            "length": len(sequence.elements),
-            "elements": [code.hex() for code in sequence.elements],
-            "primes": None if sequence.primes is None else list(sequence.primes),
-            "quotient_orders": list(chain.quotient_orders),
-            "group_order": chain.group_order(),
-        }
+        sequence = refine_with_primes(G, sequence, primes)
+        tower = compact_tower(G, sequence)
+        payload.update(
+            rounds=len(tower),
+            trivial_rounds=tower.quotient_orders.count(1),
+            inflatable_rounds=len(inflatable_rounds(get_chain(G, tower.elements))),
+        )
+    payload.update(
+        length=len(sequence),
+        elements=[code.hex() for code in sequence.elements],
+        primes=None if sequence.primes is None else list(sequence.primes),
+        quotient_orders=list(sequence.quotient_orders),
     )
+    _emit(payload)
     return 0
 
 

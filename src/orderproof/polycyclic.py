@@ -9,7 +9,9 @@ tower: a dict mapping each element of the generated subgroup to its unique
 exponent tuple, with every prefix subgroup a prefix of the table's
 insertion order.  The table doubles as the classical stand-in for the
 decomposition and membership queries that a computationally stronger
-party would answer.  Every result is memoized on the oracle (see
+party would answer.  ``compact_tower`` drops the identity and repeated
+positions of a refined tower by code equality alone; the honest 3-message
+prover commits to that tower.  Every result is memoized on the oracle (see
 ``groups.memoized``), so it is freed with the oracle.
 """
 
@@ -340,15 +342,19 @@ def refine_with_primes(
 ) -> PolycyclicSequence:
     """Refine a polycyclic sequence so each quotient order is 1 or a prime.
 
-    Each sequence element k is replaced by its powers k^e over the full
-    exponent schedule, giving l*n entries per original element.  The prime
-    attached to a refined position is the schedule ratio at that position;
-    the first position of every block gets the smallest prime, which is the
-    ratio the schedule would have continued with.  Requires ``primes`` to
-    cover every prime factor of the group order: the result is validated
-    against the quotient-order invariant and the enumerated group order,
-    and a violation raises RefinementError.  Memoized per oracle (the
-    computation is deterministic).
+    This is the paper's refinement: each sequence element k is replaced by
+    its powers k^e over the full exponent schedule, giving l*n entries per
+    original element, all of which are returned; the 2-message verifier
+    runs on this tower.  Most positions are the identity or repeat an
+    earlier element, and ``compact_tower`` drops them for the honest
+    3-message commitment.  The prime attached to a refined position is the
+    schedule ratio at that position; the first position of every block gets
+    the smallest prime, which is the ratio the schedule would have
+    continued with.  Requires ``primes`` to cover every prime factor of the
+    group order: the result is validated, through the memoized normal-form
+    table of the whole tower, against the quotient-order invariant and the
+    enumerated group order, and a violation raises RefinementError.
+    Memoized per oracle (the computation is deterministic).
     """
     ordered = tuple(sorted(set(primes)))
     if n is None:
@@ -383,3 +389,31 @@ def refine_with_primes(
         return PolycyclicSequence(tuple(elements), tuple(attached), orders)
 
     return memoized(G, ("refine", pcgs.elements, ordered, n, cap), build)
+
+
+# ---------------------------------------------------------------------------
+# Tower compaction
+# ---------------------------------------------------------------------------
+
+def compact_tower(G: GroupOracle, seq: PolycyclicSequence) -> PolycyclicSequence:
+    """Drop every position whose element is the identity or repeats an earlier one.
+
+    Uses code equality only, so it makes no oracle query.  A dropped
+    element already lies in its prefix subgroup, so its quotient order is
+    1; every kept position sees the same prefix subgroup as before, so the
+    kept elements, attached primes and quotient orders keep their values
+    and order, and the product of the quotient orders is unchanged.  Only
+    rounds an adversary could try to inflate are dropped, never one that
+    carries a factor of the order.
+    """
+    seen = {G.identity}
+    kept = []
+    for i, h in enumerate(seq.elements):
+        if h not in seen:
+            seen.add(h)
+            kept.append(i)
+
+    def pick(values):
+        return None if values is None else tuple(values[i] for i in kept)
+
+    return PolycyclicSequence(pick(seq.elements), pick(seq.primes), pick(seq.quotient_orders))

@@ -2,12 +2,15 @@
 
 Two interactive protocols compute the order of a solvable black-box group.
 In the 2-message variant the verifier, knowing the prime factors of the
-order, builds the refined polycyclic tower itself, sends the tower along
-with one masked element per round, and turns the prover's reply into a
-product of per-round factors.  In the 3-message variant the prover commits
-to the tower first (with decomposition tables certifying it), the verifier
-checks the commitment with deterministic equality tests, and the remaining
-rounds proceed identically.
+order, builds the refined polycyclic tower itself (the paper's l*n*t'
+positions), sends the tower along with one masked element per round, and
+turns the prover's reply into a product of per-round factors.  In the
+3-message variant the prover commits to a tower first, with decomposition
+tables certifying it; the honest prover commits to the compacted tower
+(``polycyclic.compact_tower``: no identity and no repeated element).  The
+verifier checks the commitment with deterministic equality tests and runs
+one round per committed element, compacting nothing it receives; the
+remaining rounds proceed as in the 2-message variant.
 
 Every execution is seeded and reproducible: transcripts carry the full
 message log in a canonical JSON form, so identical seeds yield
@@ -156,11 +159,55 @@ def challenge_to_wire(challenge: Challenge) -> dict:
     return body
 
 
+class WireError(ValueError):
+    """A message body that does not decode to the expected protocol message."""
+
+
+def _wire_body(body, kind: str, keys: tuple[str, ...]) -> dict:
+    if not isinstance(body, dict) or body.get("kind") != kind:
+        raise WireError(f"not a {kind} message")
+    missing = [key for key in keys if key not in body]
+    if missing:
+        raise WireError(f"{kind} message lacks {', '.join(missing)}")
+    return body
+
+
+def _wire_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise WireError(f"{what} must be a list")
+    return value
+
+
+def _wire_codes(value, what: str) -> tuple[ElementCode, ...]:
+    codes = []
+    for c in _wire_list(value, what):
+        if not isinstance(c, str):
+            raise WireError(f"{what} must hold hex strings")
+        try:
+            codes.append(bytes.fromhex(c))
+        except ValueError:
+            raise WireError(f"{what} holds a bad hex string") from None
+    return tuple(codes)
+
+
+def _wire_ints(value, what: str) -> tuple[int, ...]:
+    row = tuple(_wire_list(value, what))
+    if any(not isinstance(a, int) or isinstance(a, bool) for a in row):
+        raise WireError(f"{what} must hold integers")
+    return row
+
+
+def _wire_rows(value, what: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_wire_ints(row, what) for row in _wire_list(value, what))
+
+
 def challenge_from_wire(body: dict) -> Challenge:
+    """Decode a challenge body; raises WireError on anything else."""
+    body = _wire_body(body, "challenge", ("masked",))
     elements = body.get("elements")
     return Challenge(
-        masked=tuple(bytes.fromhex(c) for c in body["masked"]),
-        elements=None if elements is None else tuple(bytes.fromhex(c) for c in elements),
+        masked=_wire_codes(body["masked"], "masked"),
+        elements=None if elements is None else _wire_codes(elements, "elements"),
     )
 
 
@@ -173,9 +220,11 @@ def response_to_wire(response: Response) -> dict:
 
 
 def response_from_wire(body: dict) -> Response:
+    """Decode a response body; raises WireError on anything else."""
+    body = _wire_body(body, "response", ("bits", "exponents"))
     return Response(
-        bits=tuple(body["bits"]),
-        exponents=tuple(tuple(row) for row in body["exponents"]),
+        bits=_wire_ints(body["bits"], "bits"),
+        exponents=_wire_rows(body["exponents"], "exponents"),
     )
 
 
@@ -193,13 +242,18 @@ def commitment_to_wire(commitment: Commitment) -> dict:
 
 
 def commitment_from_wire(body: dict) -> Commitment:
+    """Decode a commitment body; raises WireError on anything else."""
+    body = _wire_body(body, "commitment", (
+        "elements", "primes", "generator_exponents", "power_exponents", "conjugate_exponents",
+    ))
     return Commitment(
-        elements=tuple(bytes.fromhex(c) for c in body["elements"]),
-        primes=tuple(body["primes"]),
-        generator_exponents=tuple(tuple(r) for r in body["generator_exponents"]),
-        power_exponents=tuple(tuple(r) for r in body["power_exponents"]),
+        elements=_wire_codes(body["elements"], "elements"),
+        primes=_wire_ints(body["primes"], "primes"),
+        generator_exponents=_wire_rows(body["generator_exponents"], "generator_exponents"),
+        power_exponents=_wire_rows(body["power_exponents"], "power_exponents"),
         conjugate_exponents=tuple(
-            tuple(tuple(r) for r in block) for block in body["conjugate_exponents"]
+            _wire_rows(block, "conjugate_exponents")
+            for block in _wire_list(body["conjugate_exponents"], "conjugate_exponents")
         ),
     )
 

@@ -22,6 +22,7 @@ from typing import Sequence
 from .groups import DEFAULT_CLOSURE_CAP, ElementCode, GroupOracle, memoized
 from .polycyclic import (
     SubgroupChain,
+    compact_tower,
     compute_pcgs,
     get_chain,
     group_order,
@@ -117,15 +118,17 @@ def honest_commitment(G: GroupOracle, cap: int = DEFAULT_CLOSURE_CAP) -> Commitm
     """The commitment an honest prover sends (memoized: it is deterministic).
 
     Computes the group order, factors it, refines a polycyclic sequence so
-    every quotient order is 1 or a known prime, and decomposes everything
-    the commitment must certify.  Raises NotSolvableError for groups with
-    no polycyclic sequence (the honest prover gives up).
+    every quotient order is 1 or a known prime, compacts the refined tower
+    (no identity and no repeated element), and decomposes everything the
+    commitment must certify.  Raises NotSolvableError for groups with no
+    polycyclic sequence (the honest prover gives up).
     """
 
     def build() -> Commitment:
         factors = prime_factors(group_order(G, cap))
         refined = refine_with_primes(G, compute_pcgs(G, cap), factors, cap=cap)
-        return build_commitment(G, refined.elements, refined.primes or (), cap)
+        tower = compact_tower(G, refined)
+        return build_commitment(G, tower.elements, tower.primes or (), cap)
 
     return memoized(G, ("honest_commitment", cap), build)
 
@@ -178,7 +181,7 @@ class HonestProver:
         return Response(tuple(bits), tuple(rows))
 
 
-def _inflatable_rounds(chain: SubgroupChain) -> list[int]:
+def inflatable_rounds(chain: SubgroupChain) -> list[int]:
     """1-based trivial-quotient rounds where a wrong non-matching word exists."""
     return [
         i
@@ -216,7 +219,7 @@ class GuessInflateProver(HonestProver):
         self.target_rounds = target_rounds
 
     def _targets(self, chain: SubgroupChain) -> set[int]:
-        return set(_inflatable_rounds(chain)[: self.target_rounds])
+        return set(inflatable_rounds(chain)[: self.target_rounds])
 
     def respond(self, elements, masked):
         chain = self._chain(elements)
@@ -276,31 +279,26 @@ class RandomBitsProver(HonestProver):
 class GarbageCommitmentProver(HonestProver):
     """Honest play except one committed exponent entry is bumped by one.
 
-    The commitment equality checks are deterministic, so the tampered entry
-    is caught before any challenge is issued.  Degenerates to honest play
-    when the commitment has no exponent entries (the trivial group).
+    Bumping an exponent changes the evaluated word exactly when the base
+    element in that column is not the identity, and the honest (compacted)
+    tower holds no identity, so the deterministic commitment checks catch
+    every tampered entry before any challenge is issued.  Degenerates to
+    honest play when the commitment has no exponent entries (the trivial
+    group).
     """
 
     name = "garbage_commitment"
 
     def commit(self) -> Commitment:
         c = honest_commitment(self.G, self.cap)
-        # Bumping an exponent changes the evaluated word exactly when the
-        # base element in that column is not the identity, so only those
-        # columns guarantee a detectable mismatch.
-        identity = self.G.identity
-        live = [j for j, h in enumerate(c.elements) if h != identity]
-        live_set = set(live)
         paths = []
         for i, row in enumerate(c.generator_exponents):
-            paths.extend(("generator", i, j) for j in range(len(row)) if j in live_set)
+            paths.extend(("generator", i, j) for j in range(len(row)))
         for i, row in enumerate(c.power_exponents):
-            paths.extend(("power", i, j) for j in range(len(row)) if j in live_set)
+            paths.extend(("power", i, j) for j in range(len(row)))
         for i, block in enumerate(c.conjugate_exponents):
             for l, row in enumerate(block):
-                paths.extend(
-                    ("conjugate", i, l, j) for j in range(len(row)) if j in live_set
-                )
+                paths.extend(("conjugate", i, l, j) for j in range(len(row)))
         if not paths:
             return c
         path = paths[self.rng.randrange(len(paths))]
@@ -362,7 +360,7 @@ class OrderForgerProver(HonestProver):
         if self._forged_elements == tuple(elements):
             targets = {len(elements)}
         else:
-            targets = set(_inflatable_rounds(chain))
+            targets = set(inflatable_rounds(chain))
         bits, rows = [], []
         for i in range(1, len(elements) + 1):
             if i in targets and chain.level_order(i - 1) >= 2:

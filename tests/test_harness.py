@@ -167,6 +167,15 @@ def test_cli_pcgs(capsys):
     assert payload["group_order"] == 12
     assert sorted(m for m in payload["quotient_orders"] if m > 1) == [2, 2, 3]
     assert len(payload["elements"]) == payload["length"]
+    # The compacted tower the protocols run: (6, 9, 3, 1), with 3 in <6, 9>.
+    assert (payload["rounds"], payload["trivial_rounds"], payload["inflatable_rounds"]) == (4, 1, 1)
+
+
+def test_cli_pcgs_without_primes_has_no_round_counts(capsys):
+    assert main(["pcgs", "--group", "cyclic:12"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["quotient_orders"] == [12]
+    assert "rounds" not in payload
 
 
 @pytest.mark.parametrize(

@@ -9,18 +9,23 @@ from orderproof import (
     PolycyclicSequence,
     ProverError,
     RefinementError,
+    SubgroupChain,
     build_commitment,
+    compact_tower,
     compute_pcgs,
     enumerate_closure,
     eval_word,
     get_chain,
     group_order,
+    honest_commitment,
+    inflatable_rounds,
     make_group,
     parse_group_spec,
     prime_factors,
     refine_with_primes,
     refinement_exponents,
 )
+from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
 from orderproof.polycyclic import is_prime
 
 
@@ -285,3 +290,69 @@ def test_pcgs_chain_is_the_memoized_chain(group_for):
     chain = get_chain(G, pcgs.elements)
     assert G.query_counts() == queries
     assert chain.quotient_orders == pcgs.quotient_orders
+
+
+# -- tower compaction ------------------------------------------------------------
+
+#: The protocol fixtures plus S4xS3 and S4 wr C2, whose paper towers have
+#: 168 and 432 positions.
+COMPACTION_CASES = [
+    *((get_fixture(name).spec, get_fixture(name).primes) for name in PROTOCOL_FIXTURES),
+    ("direct:perm:4:(1 2),(1 2 3 4),perm:3:(1 2),(1 2 3)", (2, 3)),
+    ("perm:8:(1 2),(1 2 3 4),(1 5)(2 6)(3 7)(4 8)", (2, 3)),
+]
+
+
+@pytest.mark.parametrize("spec,primes", COMPACTION_CASES)
+def test_compact_tower_drops_identity_and_repeats(group_for, spec, primes):
+    G = group_for(spec)
+    refined = refine_with_primes(G, compute_pcgs(G), primes)
+    queries = G.query_counts()
+    tower = compact_tower(G, refined)
+    assert G.query_counts() == queries
+    assert G.identity not in tower.elements
+    assert len(set(tower.elements)) == len(tower)
+    assert set(tower.elements) == set(refined.elements) - {G.identity}
+    # Each kept element sits at its first position in the paper tower.
+    kept = [refined.elements.index(h) for h in tower.elements]
+    assert kept == sorted(kept)
+    assert tower.primes == tuple(refined.primes[i] for i in kept)
+    assert tower.quotient_orders == tuple(refined.quotient_orders[i] for i in kept)
+    assert math.prod(tower.quotient_orders) == group_order(G)
+    assert get_chain(G, tower.elements).quotient_orders == tower.quotient_orders
+
+
+@pytest.mark.parametrize("spec,primes", COMPACTION_CASES)
+def test_refined_orders_match_a_chain_of_the_full_tower(group_for, spec, primes):
+    # A chain built directly over every paper position, outside the
+    # memoized store, must agree with the orders refine_with_primes reports.
+    G = group_for(spec)
+    refined = refine_with_primes(G, compute_pcgs(G), primes)
+    assert refined.quotient_orders == SubgroupChain(G, refined.elements).quotient_orders
+
+
+@pytest.mark.parametrize("spec,primes", COMPACTION_CASES)
+def test_honest_commitment_is_the_compacted_tower(group_for, spec, primes):
+    G = group_for(spec)
+    refined = refine_with_primes(G, compute_pcgs(G), prime_factors(group_order(G)))
+    tower = compact_tower(G, refined)
+    commitment = honest_commitment(G)
+    assert commitment.elements == tower.elements
+    assert commitment.primes == tower.primes
+
+
+def test_compacted_cyclic12_keeps_an_inflatable_round(group_for):
+    # A verifier running this tower still plays the guessing game that the
+    # inflation-soundness criteria measure.  The tower is (6, 9, 3, 1) in
+    # Z/12, and 3 already lies in <6, 9>, so round 3 is trivial with a
+    # prefix of size 4.
+    G = group_for("cyclic:12")
+    tower = compact_tower(G, refine_with_primes(G, compute_pcgs(G), (2, 3)))
+    assert tower.quotient_orders == (2, 2, 1, 3)
+    assert inflatable_rounds(get_chain(G, tower.elements)) == [3]
+
+
+def test_compact_tower_of_the_trivial_group(group_for):
+    G = group_for("cyclic:1")
+    tower = compact_tower(G, refine_with_primes(G, compute_pcgs(G), ()))
+    assert tower.elements == () and tower.primes == () and tower.quotient_orders == ()

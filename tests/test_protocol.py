@@ -5,11 +5,14 @@ import weakref
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orderproof.protocol as protocol_mod
 from orderproof import (
     Outcome,
     Response,
+    WireError,
     build_commitment,
     challenge_code_distribution,
     compute_pcgs,
@@ -339,15 +342,18 @@ S4 = "perm:4:(1 2),(1 2 3 4)"
 
 #: blake2b-128 of ``canonical_bytes()`` for seeded S4 runs, pinned so that a
 #: change to table layout or sampling order cannot silently alter transcripts.
+#: The honest 3-message commitment is the compacted S4 tower: four rounds,
+#: none an adversary can inflate, so guess_inflate plays honestly there and
+#: shares the honest 3-message digests.
 PINNED_S4_DIGESTS = {
     ("2msg", "honest", 1): "6f538565ec25b82789fd1c92f765495f",
     ("2msg", "honest", 2): "dfa8b28bc36c7b627651c3a4c867f94c",
     ("2msg", "guess_inflate", 1): "e9ec09500acdc47d54fc99b9df956d15",
     ("2msg", "guess_inflate", 2): "26fd9b2b2844b88628aebe61414e52e1",
-    ("3msg", "honest", 1): "c94592767e77b1f0f00a40ba7edb2466",
-    ("3msg", "honest", 2): "9ae72c141f456a1731486de07faf29be",
-    ("3msg", "guess_inflate", 1): "7e1abce4d13cf828c8a04c5019dbb60c",
-    ("3msg", "guess_inflate", 2): "7e22ffbe503a2bbe4ad76d950ccc4ff1",
+    ("3msg", "honest", 1): "364224727fc55a748c5fbab16e8994a2",
+    ("3msg", "honest", 2): "cdf6aa1b026a13dc8eeec616620e7ea3",
+    ("3msg", "guess_inflate", 1): "364224727fc55a748c5fbab16e8994a2",
+    ("3msg", "guess_inflate", 2): "cdf6aa1b026a13dc8eeec616620e7ea3",
 }
 
 
@@ -459,3 +465,74 @@ def test_codec_round_trips(group_for):
     prover = make_prover("honest", G, Random(1))
     response = prover.respond(challenge.elements, challenge.masked)
     assert response_from_wire(response_to_wire(response)) == response
+
+
+DECODERS = {
+    "challenge": challenge_from_wire,
+    "response": response_from_wire,
+    "commitment": commitment_from_wire,
+}
+
+
+@pytest.mark.parametrize(
+    "kind,body",
+    [
+        ("response", {}),
+        ("response", {"kind": "response", "bits": 1, "exponents": []}),
+        ("response", {"kind": "response", "bits": [0, 1.5], "exponents": [[], [0]]}),
+        ("response", {"kind": "challenge", "bits": [], "exponents": []}),
+        ("challenge", {"kind": "challenge", "masked": ["zz"]}),
+        ("challenge", {"kind": "challenge", "masked": [], "elements": "00"}),
+        ("commitment", {"kind": "commitment", "elements": ["0"], "primes": [],
+                        "generator_exponents": [], "power_exponents": [],
+                        "conjugate_exponents": []}),
+        ("commitment", {"kind": "commitment", "elements": [], "primes": [True],
+                        "generator_exponents": [], "power_exponents": [],
+                        "conjugate_exponents": []}),
+        ("commitment", {"kind": "commitment", "elements": [], "primes": [],
+                        "generator_exponents": [], "power_exponents": [],
+                        "conjugate_exponents": [[[1, None]]]}),
+        ("commitment", []),
+    ],
+)
+def test_decoders_reject_junk_with_wire_error(kind, body):
+    with pytest.raises(WireError):
+        DECODERS[kind](body)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+_hex = st.binary(max_size=3).map(bytes.hex)
+_ints = st.lists(st.integers(-2, 2**70) | st.booleans(), max_size=3)
+_fields = {
+    "masked": st.lists(_hex | st.text(max_size=4), max_size=3),
+    "elements": st.lists(_hex | st.text(max_size=4), max_size=3),
+    "bits": _ints,
+    "primes": _ints,
+    "exponents": st.lists(_ints, max_size=3),
+    "generator_exponents": st.lists(_ints, max_size=3),
+    "power_exponents": st.lists(_ints, max_size=3),
+    "conjugate_exponents": st.lists(st.lists(_ints, max_size=2), max_size=2),
+}
+#: Bodies near the real shapes: the right kind, each field either of its own
+#: shape or any JSON value, and any field possibly missing.
+_near_bodies = st.builds(
+    lambda kind, values, drop: {"kind": kind, **{k: v for k, v in values.items() if k not in drop}},
+    st.sampled_from(sorted(DECODERS)),
+    st.fixed_dictionaries({k: v | _json for k, v in _fields.items()}),
+    st.sets(st.sampled_from(sorted(_fields)), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=_json | _near_bodies)
+def test_decoders_return_a_message_or_raise_wire_error(body):
+    for decode in DECODERS.values():
+        try:
+            decode(body)
+        except WireError:
+            pass

@@ -20,6 +20,7 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Callable, Iterable, Sequence, TypeVar, Union
 
 ElementCode = bytes
@@ -464,14 +465,14 @@ def eval_word(G: GroupOracle, bases: Sequence[ElementCode], exps: Sequence[int])
     """Evaluate bases[0]^exps[0] * ... * bases[k-1]^exps[k-1] left to right.
 
     Zero exponents are skipped entirely, so an all-zero word costs no
-    oracle queries and evaluates to the identity.
+    oracle queries and evaluates to the identity.  The skip is a single
+    ``itertools.compress`` over the word, so the zeros of a long, sparse
+    row cost no Python-level step each.
     """
     if len(bases) != len(exps):
         raise ValueError(f"word length mismatch: {len(bases)} bases, {len(exps)} exponents")
     acc = None
-    for base, exp in zip(bases, exps):
-        if exp == 0:
-            continue
+    for base, exp in compress(zip(bases, exps), exps):
         p = G.power(base, exp)
         acc = p if acc is None else G.product(acc, p)
     return G.identity if acc is None else acc

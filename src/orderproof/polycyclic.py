@@ -60,21 +60,46 @@ class PolycyclicSequence:
 
 
 # ---------------------------------------------------------------------------
-# Small number-theory helpers (trial division is exact at desk scale)
+# Small number-theory helpers
 # ---------------------------------------------------------------------------
 
+#: Miller-Rabin with the first thirteen primes as bases is exact below this
+#: bound (the smallest strong pseudoprime to all of them).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality test in bounded time below 2^81.
+
+    Deterministic Miller-Rabin below ``MILLER_RABIN_EXACT_BELOW``, so a
+    committed prime of up to 81 bits costs thirteen modular exponentiations;
+    trial division remains only at or above that bound.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for p in MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= MILLER_RABIN_EXACT_BELOW:
+        d = MILLER_RABIN_BASES[-1] + 2
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
@@ -50,11 +51,7 @@ from .polycyclic import (
     refine_with_primes,
 )
 from .prover import Commitment, HonestProver, Response
-from .sampling import SubproductSampler, as_rng, derive_seed
-
-#: Subgroup levels up to this size are sampled exactly; larger levels fall
-#: back to the subproduct sampler with per-element deviation 1/2^(2n).
-EXACT_SAMPLER_MAX = 10_000
+from .sampling import as_rng, derive_seed
 
 #: Guardrail on prover-committed tower length: t <= FACTOR * n * s * log2(cap).
 COMMITMENT_LENGTH_FACTOR = 4
@@ -275,16 +272,13 @@ class VerifierState:
     reduce_exponents: bool  # 2-message: quotient orders known to the verifier
 
 
-def _draw_subgroup_element(
-    G: GroupOracle, chain: SubgroupChain, level: int, rng: Random
-) -> ElementCode:
-    """Near-uniform element of a prefix subgroup (exact below the threshold)."""
-    size = chain.level_order(level)
-    if size <= EXACT_SAMPLER_MAX:
-        return chain.level_element(level, rng.randrange(size))
-    epsilon = 2.0 ** -min(2 * G.encoding_length, 1000)
-    sampler = SubproductSampler(G, chain.elements[:level], epsilon, rng)
-    return sampler.draw()
+def _draw_subgroup_element(chain: SubgroupChain, level: int, rng: Random) -> ElementCode:
+    """Uniform element of a prefix subgroup, from the tower's normal-form table.
+
+    The amortized warm-up builds that table for every level, so a draw makes
+    no oracle query: the simulator's stand-in for the paper's sampler.
+    """
+    return chain.level_element(level, rng.randrange(chain.level_order(level)))
 
 
 def _issue_challenge(
@@ -297,7 +291,7 @@ def _issue_challenge(
     bits, masks, masked = [], [], []
     for i in range(1, len(elements) + 1):
         s = rng.getrandbits(1)
-        x = _draw_subgroup_element(G, chain, i - 1, rng)
+        x = _draw_subgroup_element(chain, i - 1, rng)
         bits.append(s)
         masks.append(x)
         masked.append(G.product(G.power(elements[i - 1], s), x))
@@ -361,7 +355,7 @@ def verifier_check_commitment(
     if any(not isinstance(code, bytes) for code in commitment.elements):
         return "committed element codes must be byte strings"
     # Quotient orders divide |G| <= 2^n, so a larger "prime" is rejected
-    # before trial division could stall on it.
+    # before the primality test, which is bounded in time only below 2^81.
     for r in commitment.primes:
         if not isinstance(r, int) or isinstance(r, bool) or r > exponent_cap:
             return f"committed value {r!r} is not a prime up to 2^n"
@@ -422,6 +416,9 @@ def verifier_finalize(state: VerifierState, response: Response) -> Outcome:
     shapes, non-integers, out-of-policy exponents) abort as well.  In the
     2-message protocol exponents are reduced modulo the verifier's known
     quotient orders; in the 3-message protocol they must lie in [0, 2^n].
+
+    Rows are checked by builtins over the whole row; a row holding a type
+    other than ``int`` falls back to a per-element check that refuses bools.
     """
     G = state.G
     t = len(state.elements)
@@ -439,11 +436,12 @@ def verifier_finalize(state: VerifierState, response: Response) -> Outcome:
             return Outcome.abort(f"round {i}: bit is not 0 or 1")
         if not isinstance(row, (tuple, list)) or len(row) != i - 1:
             return Outcome.abort(f"round {i}: exponent row has wrong length")
-        if any(not isinstance(a, int) or isinstance(a, bool) for a in row):
+        types = set(map(type, row))
+        if types - {int} and any(not isinstance(a, int) or isinstance(a, bool) for a in row):
             return Outcome.abort(f"round {i}: non-integer exponent")
         if state.reduce_exponents:
-            row = tuple(a % state.chain.quotient_orders[j] for j, a in enumerate(row))
-        elif any(a < 0 or a > exponent_cap for a in row):
+            row = tuple(map(operator.mod, row, state.chain.quotient_orders))
+        elif row and (min(row) < 0 or max(row) > exponent_cap):
             return Outcome.abort(f"round {i}: exponent outside [0, 2^n]")
         word = eval_word(G, state.elements[: i - 1], row)
         if word == state.elements[i - 1]:

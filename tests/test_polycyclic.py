@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from orderproof import (
     refinement_exponents,
 )
 from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
-from orderproof.polycyclic import is_prime
+from orderproof.polycyclic import MILLER_RABIN_EXACT_BELOW, is_prime
 
 
 # -- exponent schedule --------------------------------------------------------
@@ -75,6 +76,40 @@ def test_prime_helpers():
     assert prime_factors(97) == (97,)
     with pytest.raises(ValueError):
         prime_factors(0)
+
+
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(r) == _trial_division_is_prime(r) for r in range(10**5))
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,  # Carmichael
+    3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+    3825123056546413051,  # strong pseudoprime to every prime base up to 23
+    318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert n < MILLER_RABIN_EXACT_BELOW
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**64 - 59])
+def test_is_prime_is_fast_on_large_primes(p):
+    # Trial division would need 2^29 to 2^31 odd divisors for these.
+    started = time.perf_counter()
+    assert is_prime(p)
+    assert time.perf_counter() - started < 0.01
 
 
 # -- computing a polycyclic sequence ------------------------------------------

@@ -1,7 +1,11 @@
+import dataclasses
+import functools
 import gc
 import hashlib
+import math
 import time
 import weakref
+from enum import IntEnum
 from random import Random
 
 import pytest
@@ -31,6 +35,7 @@ from orderproof import (
     verifier_finalize,
     verifier_setup_2msg,
 )
+from orderproof.groups import QueryMeter
 from orderproof.protocol import (
     VerifierState,
     challenge_from_wire,
@@ -41,6 +46,9 @@ from orderproof.protocol import (
     response_to_wire,
 )
 from orderproof.prover import Commitment
+
+
+S4 = "perm:4:(1 2),(1 2 3 4)"
 
 
 def _factory(name):
@@ -257,6 +265,116 @@ def test_finalize_3msg_exponent_cap(group_for):
     assert verifier_finalize(state, negative).aborted
 
 
+def _reference_eval_word(G, bases, exps):
+    acc = None
+    for base, exp in zip(bases, exps):
+        if exp == 0:
+            continue
+        p = G.power(base, exp)
+        acc = p if acc is None else G.product(acc, p)
+    return G.identity if acc is None else acc
+
+
+def _reference_finalize(state, response):
+    """``verifier_finalize`` as a plain loop over every bit and exponent."""
+    G = state.G
+    t = len(state.elements)
+    bits, exponents = response.bits, response.exponents
+    if not isinstance(bits, (tuple, list)) or not isinstance(exponents, (tuple, list)):
+        return Outcome.abort("response bits and exponents must be sequences")
+    if len(bits) != t or len(exponents) != t:
+        return Outcome.abort("response shape does not match the round count")
+    exponent_cap = 1 << G.encoding_length
+    factors = []
+    for i in range(1, t + 1):
+        bit = bits[i - 1]
+        row = exponents[i - 1]
+        if bit not in (0, 1) or isinstance(bit, bool):
+            return Outcome.abort(f"round {i}: bit is not 0 or 1")
+        if not isinstance(row, (tuple, list)) or len(row) != i - 1:
+            return Outcome.abort(f"round {i}: exponent row has wrong length")
+        if any(not isinstance(a, int) or isinstance(a, bool) for a in row):
+            return Outcome.abort(f"round {i}: non-integer exponent")
+        if state.reduce_exponents:
+            row = tuple(a % state.chain.quotient_orders[j] for j, a in enumerate(row))
+        elif any(a < 0 or a > exponent_cap for a in row):
+            return Outcome.abort(f"round {i}: exponent outside [0, 2^n]")
+        word = _reference_eval_word(G, state.elements[: i - 1], row)
+        if word == state.elements[i - 1]:
+            factors.append(1)
+        elif bit == state.secret_bits[i - 1]:
+            factors.append(state.primes[i - 1])
+        else:
+            return Outcome.abort(f"round {i}: no decomposition and the bit is wrong")
+    return Outcome.of(math.prod(factors))
+
+
+class _Small(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+@functools.cache
+def _finalize_cases():
+    """(state, honest response) on the cyclic:12 hand tower and the S4 2-message tower."""
+    G = make_group(parse_group_spec("cyclic:12"))
+    cases = [(_hand_state(G), Response(bits=(1, 0, 1), exponents=((), (0,), (0, 0))))]
+    G = make_group(parse_group_spec(S4))
+    state, challenge = verifier_setup_2msg(G, (2, 3), 0)
+    response = make_prover("honest", G, Random(0)).respond(challenge.elements, challenge.masked)
+    cases.append((state, response))
+    return tuple(
+        (dataclasses.replace(state, reduce_exponents=reduce), response)
+        for state, response in cases
+        for reduce in (True, False)
+    )
+
+
+@st.composite
+def _edited_response(draw, state, honest):
+    """An honest response with a few exponents, bits or row lengths changed."""
+    cap = 1 << state.G.encoding_length
+    exponent = st.one_of(
+        st.integers(0, 3),
+        st.integers(max_value=-1),
+        st.sampled_from([cap, cap + 1]),
+        st.integers(min_value=cap + 1),
+        st.sampled_from([2**200, -(2**200)]),
+        st.sampled_from(_Small),
+        st.booleans(),
+        st.floats(allow_nan=False),
+        st.none(),
+        st.text(max_size=2),
+    )
+    bits, rows = list(honest.bits), [list(row) for row in honest.exponents]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["exponent", "exponent", "bit", "length"]))
+        if edit == "exponent" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(exponent)
+        elif edit == "bit":
+            bits[i] = draw(st.sampled_from([0, 1, 2, True, 1.0, None]))
+        elif edit == "length":
+            rows[i] = rows[i][:-1] if rows[i] and draw(st.booleans()) else rows[i] + [0]
+    as_tuples = draw(st.booleans())
+    return Response(tuple(bits), tuple(tuple(r) if as_tuples else r for r in rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), case=st.integers(0, 3))
+def test_finalize_matches_per_element_reference(data, case):
+    # Same Outcome, reason string included, and the same oracle queries, on
+    # both towers with reduce_exponents True and False.
+    state, honest = _finalize_cases()[case]
+    response = data.draw(_edited_response(state, honest))
+    outcomes = []
+    for finalize in (verifier_finalize, _reference_finalize):
+        meter = QueryMeter()
+        with meter.measuring():
+            outcomes.append((finalize(state, response), meter.snapshot()))
+    assert outcomes[0] == outcomes[1]
+
+
 # -- full runs ----------------------------------------------------------------
 
 def test_run_2msg_honest_on_fixtures(group_for, protocol_fixtures):
@@ -331,14 +449,20 @@ def test_parallel_runs_share_oracle_with_independent_counts(group_for):
         assert transcript.canonical_bytes() == reference[seed].canonical_bytes()
 
 
-def test_subproduct_branch_still_completes(group_for, monkeypatch):
-    monkeypatch.setattr(protocol_mod, "EXACT_SAMPLER_MAX", 0)
-    G = group_for("cyclic:12")
-    outcome, _ = run_protocol_2msg(G, (2, 3), _factory("honest"), 5)
-    assert outcome == Outcome.of(12)
+def test_large_levels_draw_masks_from_the_table(group_for):
+    # The top level of cyclic:32768's 15-round tower holds 16384 elements.
+    # Its mask comes from the normal-form table like every other level's, so
+    # a round costs at most its two masking products and no sampler queries.
+    G = group_for("cyclic:32768")
+    state, challenge = verifier_setup_2msg(G, (2,), 5)
+    rounds = len(challenge.masked)
+    assert max(state.chain.level_order(i - 1) for i in range(1, rounds + 1)) > 10_000
+    for i, mask in enumerate(state.masks, start=1):
+        assert state.chain.is_member(i - 1, mask)
+    outcome, transcript = run_protocol_2msg(G, (2,), _factory("honest"), 5)
+    assert outcome == Outcome.of(32768)
+    assert transcript.queries.total <= 2 * rounds
 
-
-S4 = "perm:4:(1 2),(1 2 3 4)"
 
 #: blake2b-128 of ``canonical_bytes()`` for seeded S4 runs, pinned so that a
 #: change to table layout or sampling order cannot silently alter transcripts.
@@ -369,6 +493,24 @@ def test_transcript_digests_are_pinned(protocol, prover, seed):
     _, transcript = _run(G, protocol, prover, seed)
     digest = hashlib.blake2b(transcript.canonical_bytes(), digest_size=16).hexdigest()
     assert digest == PINNED_S4_DIGESTS[(protocol, prover, seed)]
+
+
+#: blake2b-128 of 3-message guess_inflate runs on unrelabeled cyclic:12,
+#: whose compacted commitment (6, 9, 3, 1) keeps inflatable round 3, so the
+#: prover plays an inflated round: seed 1 aborts there on a wrong bit, seed 2
+#: is accepted with the inflated order 36.
+PINNED_C12_INFLATE_DIGESTS = {
+    1: "342178c0378d40102dce39a4f73cf37d",
+    2: "e78b8171c1343bb37ed8ecee9841965a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_C12_INFLATE_DIGESTS))
+def test_inflated_3msg_digests_are_pinned(seed):
+    G = make_group(parse_group_spec("cyclic:12"))
+    _, transcript = _run(G, "3msg", "guess_inflate", seed)
+    digest = hashlib.blake2b(transcript.canonical_bytes(), digest_size=16).hexdigest()
+    assert digest == PINNED_C12_INFLATE_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("protocol", ["2msg", "3msg"])

@@ -23,6 +23,7 @@ from .groups import (
     QueryMeter,
     enumerate_closure,
     eval_word,
+    extend_closure,
     format_group_spec,
     make_group,
     parse_group_spec,

@@ -9,7 +9,11 @@ seeded relabeling scrambles the code space so that callers cannot exploit
 structure in the canonical encoding.
 
 Derived helpers (powers, product-of-powers words, closure enumeration) are
-built on top of the two oracles and inherit their query accounting.
+built on top of the two oracles and inherit their query accounting.  A
+closure is listed by Dimino's algorithm (G. Butler, *Fundamental Algorithms
+for Permutation Groups*, LNCS 559, 1991): the subgroup grows by one
+generator at a time, by whole cosets of the subgroup so far, at about one
+product per element and no inverse.
 """
 
 from __future__ import annotations
@@ -478,35 +482,72 @@ def eval_word(G: GroupOracle, bases: Sequence[ElementCode], exps: Sequence[int])
     return G.identity if acc is None else acc
 
 
+def extend_closure(
+    G: GroupOracle,
+    elements: list[ElementCode],
+    members: set[ElementCode],
+    gens: list[ElementCode],
+    g: ElementCode,
+    cap: int = DEFAULT_CLOSURE_CAP,
+) -> bool:
+    """Grow the subgroup H = <gens> to <gens, g> in place (Dimino's coset step).
+
+    ``elements`` lists H with the identity first, ``members`` is its set,
+    and both are extended in place; g is appended to ``gens`` when it is
+    new.  The new subgroup is the union of the right cosets H·r, each listed
+    whole as h·r over h in H, with r itself in the identity row, so a coset
+    costs |H| - 1 products.  The cosets are found as r·s for a coset
+    representative r and a generator s, one product per generator per
+    coset; H need not be normal.  When H is trivial this lists the powers
+    of g, one product each.  Returns whether g was new.  Raises
+    ClosureOverflowError before a coset would take the list past ``cap``
+    elements, that is exactly when the new subgroup has more than ``cap``.
+    """
+    if g in members:
+        return False
+    gens.append(g)
+    size = len(elements)
+    subgroup = elements[1:]
+
+    def add_coset(r: ElementCode) -> None:
+        if len(elements) + size > cap:
+            raise ClosureOverflowError(f"subgroup closure exceeded cap of {cap} elements")
+        coset = [r] + [G.product(h, r) for h in subgroup]
+        elements.extend(coset)
+        members.update(coset)
+
+    add_coset(g)
+    rep = size
+    while rep < len(elements):
+        r = elements[rep]
+        for s in gens:
+            t = G.product(r, s)
+            if t not in members:
+                add_coset(t)
+        rep += size
+    return True
+
+
 def enumerate_closure(
     G: GroupOracle,
     gens: Sequence[ElementCode],
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> list[ElementCode]:
-    """Breadth-first closure of ``gens`` under product and inverse.
+    """The subgroup generated by ``gens``, listed by Dimino's algorithm.
 
-    Returns the full subgroup as a list in deterministic BFS order.
-    Raises ClosureOverflowError once more than ``cap`` elements appear.
+    Adds the generators one at a time with ``extend_closure``, so the list
+    starts with the identity, then the powers of the first generator, and
+    then whole cosets of each earlier subgroup; the order is deterministic.
+    The cost is one product per element plus one per generator per coset,
+    and no inverse.  Raises ClosureOverflowError once more than ``cap``
+    elements would appear.
     """
     if cap < 1:
         raise ValueError("closure cap must be >= 1")
-    multipliers = list(gens) + [G.inverse(g) for g in gens]
-    seen: dict[ElementCode, None] = {G.identity: None}
-    frontier = [G.identity]
-    while frontier:
-        next_frontier = []
-        for u in frontier:
-            for m in multipliers:
-                v = G.product(u, m)
-                if v not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureOverflowError(
-                            f"subgroup closure exceeded cap of {cap} elements"
-                        )
-                    seen[v] = None
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return list(seen)
+    elements, members, grown = [G.identity], {G.identity}, []
+    for g in gens:
+        extend_closure(G, elements, members, grown, g, cap)
+    return elements
 
 
 # ---------------------------------------------------------------------------

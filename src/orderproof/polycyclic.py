@@ -2,13 +2,14 @@
 
 A polycyclic generating sequence for a finite solvable group is a list of
 elements whose prefix subgroups form a normal tower with cyclic quotients.
-This module computes such sequences by brute force on enumerated fixtures,
-refines them with a descending prime-power exponent schedule so that every
-quotient order is 1 or a known prime, and builds one normal-form table per
-tower: a dict mapping each element of the generated subgroup to its unique
-exponent tuple, with every prefix subgroup a prefix of the table's
-insertion order.  The table doubles as the classical stand-in for the
-decomposition and membership queries that a computationally stronger
+This module computes such sequences from the derived series, enumerated by
+coset steps (Dimino's closure, with one enumeration of the whole group per
+oracle), refines them with a descending prime-power exponent schedule so
+that every quotient order is 1 or a known prime, and builds one normal-form
+table per tower: a dict mapping each element of the generated subgroup to
+its unique exponent tuple, with every prefix subgroup a prefix of the
+table's insertion order.  The table doubles as the classical stand-in for
+the decomposition and membership queries that a computationally stronger
 party would answer.  ``compact_tower`` drops the identity and repeated
 positions of a refined tower by code equality alone; the honest 3-message
 prover commits to that tower.  Every result is memoized on the oracle (see
@@ -27,6 +28,7 @@ from .groups import (
     ElementCode,
     GroupOracle,
     enumerate_closure,
+    extend_closure,
     memoized,
 )
 
@@ -164,22 +166,26 @@ class SubgroupChain:
         G, cap = self.G, self.cap
         exponents, codes = self._exponents, self._codes
         size = len(codes)
-        m, cur = 1, h
+        # powers[a - 1] = h^a for every a below the quotient order m.
+        powers, cur = [], h
         while cur not in exponents:
+            powers.append(cur)
             cur = G.product(cur, h)
-            m += 1
-            if m > cap:
+            if len(powers) >= cap:
                 raise ClosureOverflowError(f"quotient order search exceeded cap of {cap}")
+        m = len(powers) + 1
         if size * m > cap:
             raise ClosureOverflowError(f"subgroup level exceeded cap of {cap} elements")
         if m > 1:
             zeros = self._zeros
             level = len(self.elements)
             prefixes = [e + zeros[level - len(e)] for e in exponents.values()]
-            power = G.identity
-            for a in range(1, m):
-                power = h if a == 1 else G.product(power, h)
-                for u, exps in zip(codes[:size], prefixes):
+            # codes[0] is the identity, whose coset element is h^a itself.
+            rows = list(zip(codes[1:size], prefixes[1:]))
+            for a, power in enumerate(powers, 1):
+                exponents[power] = prefixes[0] + (a,)
+                codes.append(power)
+                for u, exps in rows:
                     v = G.product(u, power)
                     if v in exponents:
                         raise ChainError("normal-form collision: sequence is not polycyclic")
@@ -239,9 +245,18 @@ def get_chain(
     return memoized(G, ("chain", elements, cap), lambda: SubgroupChain(G, elements, cap))
 
 
+def _group_elements(G: GroupOracle, cap: int) -> list[ElementCode]:
+    """Every element of G, enumerated once per oracle and cap (memoized)."""
+    return memoized(G, ("closure", cap), lambda: enumerate_closure(G, G.generators, cap))
+
+
 def group_order(G: GroupOracle, cap: int = DEFAULT_CLOSURE_CAP) -> int:
-    """Order of the full group by closure enumeration (memoized)."""
-    return memoized(G, ("order", cap), lambda: len(enumerate_closure(G, G.generators, cap)))
+    """Order of the full group, from the one memoized enumeration of G.
+
+    ``compute_pcgs`` reads the same enumeration, so whichever of the two
+    runs first pays for it and the other makes no query.
+    """
+    return len(_group_elements(G, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +272,25 @@ def _conjugation_closure(
     """Smallest subgroup containing ``seed_gens`` closed under conjugation.
 
     Returns (generators, elements).  Used to take normal closures inside the
-    subgroup generated by ``conjugators``.
+    subgroup generated by ``conjugators``.  The closure grows by
+    ``extend_closure``, one new generator at a time, and only the generators
+    it keeps are conjugated: a subgroup is normal in the group the
+    conjugators generate once the conjugate of each of its generators by
+    each conjugator lies in it, because conjugation by an element of a
+    finite group maps the subgroup onto itself when it maps it into itself.
     """
-    gens = list(dict.fromkeys(seed_gens))
+    elements, members, gens = [G.identity], {G.identity}, []
+    for g in seed_gens:
+        extend_closure(G, elements, members, gens, g, cap)
     conj_inverses = [G.inverse(c) for c in conjugators]
-    while True:
-        elements = enumerate_closure(G, gens, cap)
-        element_set = set(elements)
-        new_gens = []
+    conjugated = 0
+    while conjugated < len(gens):
+        x = gens[conjugated]
+        conjugated += 1
         for c, c_inv in zip(conjugators, conj_inverses):
-            for x in elements:
-                y = G.product(G.product(c, x), c_inv)
-                if y not in element_set:
-                    new_gens.append(y)
-        if not new_gens:
-            return gens, elements
-        gens.extend(dict.fromkeys(new_gens))
+            y = G.product(G.product(c, x), c_inv)
+            extend_closure(G, elements, members, gens, y, cap)
+    return gens, elements
 
 
 def _derived_series(
@@ -280,7 +298,7 @@ def _derived_series(
 ) -> list[list[ElementCode]]:
     """Element lists of the derived series, ending with the trivial group."""
     level_gens = list(G.generators)
-    elements = enumerate_closure(G, level_gens, cap)
+    elements = _group_elements(G, cap)
     series = [elements]
     while len(elements) > 1:
         commutators = []
@@ -302,13 +320,18 @@ def _derived_series(
 def compute_pcgs(G: GroupOracle, cap: int = DEFAULT_CLOSURE_CAP) -> PolycyclicSequence:
     """Polycyclic generating sequence via the derived series (memoized).
 
-    Walks the derived series from the bottom up; inside each abelian layer
-    any greedy choice of new generators keeps every prefix subgroup normal
-    in the next, and each addition at least doubles the prefix subgroup, so
-    the sequence length is at most log2 of the group order per layer.  The
-    normality lets the sequence's chain grow by the coset step, and that
-    chain is kept for ``get_chain``.  Raises NotSolvableError when the
-    derived series does not reach the trivial group.
+    The top of the series is the one memoized enumeration of G that
+    ``group_order`` also reads; each lower term is a normal closure grown
+    by coset steps.  Walks the derived series from the bottom up; inside
+    each abelian layer any greedy choice of new generators keeps every
+    prefix subgroup normal in the next, and each addition at least doubles
+    the prefix subgroup, so the sequence length is at most log2 of the
+    group order per layer.  Candidates are taken in sorted code order, so
+    the sequence depends only on the layers as sets, not on the order an
+    enumeration lists them in.  The normality lets the sequence's chain
+    grow by the coset step, and that chain is kept for ``get_chain``.
+    Raises NotSolvableError when the derived series does not reach the
+    trivial group.
     """
     return memoized(G, ("pcgs", cap), lambda: _build_pcgs(G, cap))
 
@@ -375,11 +398,16 @@ def refine_with_primes(
     3-message commitment.  The prime attached to a refined position is the
     schedule ratio at that position; the first position of every block gets
     the smallest prime, which is the ratio the schedule would have
-    continued with.  Requires ``primes`` to cover every prime factor of the
-    group order: the result is validated, through the memoized normal-form
-    table of the whole tower, against the quotient-order invariant and the
-    enumerated group order, and a violation raises RefinementError.
-    Memoized per oracle (the computation is deterministic).
+    continued with.  Each block is computed backwards from k^1 = k, as
+    k^{e_j} = (k^{e_{j+1}})^{r_{j+1}} with r_{j+1} the schedule ratio, so a
+    position costs a power by one prime (1 product for 2, 2 for 3) rather
+    than a power by the whole schedule exponent, and a power of the
+    identity costs nothing; the elements, and so the codes, are the same.
+    Requires ``primes`` to cover every prime factor of the group order: the
+    result is validated, through the memoized normal-form table of the
+    whole tower, against the quotient-order invariant and the enumerated
+    group order, and a violation raises RefinementError.  Memoized per
+    oracle (the computation is deterministic).
     """
     ordered = tuple(sorted(set(primes)))
     if n is None:
@@ -391,12 +419,17 @@ def refine_with_primes(
 
     def build() -> PolycyclicSequence:
         schedule = refinement_exponents(ordered, n)
+        ratios = [a // b for a, b in zip(schedule, schedule[1:])]
         elements: list[ElementCode] = []
-        attached: list[int] = []
         for k in pcgs.elements:
-            for j, exponent in enumerate(schedule):
-                elements.append(G.power(k, exponent))
-                attached.append(ordered[0] if j == 0 else schedule[j - 1] // schedule[j])
+            # k^{e_j} = (k^{e_{j+1}})^{r_{j+1}}, backwards from k^1 = k; a
+            # power of the identity is the identity and costs no query.
+            block = [k]
+            for r in reversed(ratios):
+                x = block[-1]
+                block.append(x if x == G.identity else G.power(x, r))
+            elements.extend(reversed(block))
+        attached = [ordered[0], *ratios] * len(pcgs.elements)
 
         chain = get_chain(G, elements, cap)
         orders = chain.quotient_orders

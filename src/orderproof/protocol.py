@@ -432,7 +432,7 @@ def verifier_finalize(state: VerifierState, response: Response) -> Outcome:
     for i in range(1, t + 1):
         bit = bits[i - 1]
         row = exponents[i - 1]
-        if bit not in (0, 1) or isinstance(bit, bool):
+        if not isinstance(bit, int) or isinstance(bit, bool) or bit not in (0, 1):
             return Outcome.abort(f"round {i}: bit is not 0 or 1")
         if not isinstance(row, (tuple, list)) or len(row) != i - 1:
             return Outcome.abort(f"round {i}: exponent row has wrong length")

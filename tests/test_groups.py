@@ -11,13 +11,16 @@ from orderproof import (
     DirectProductSpec,
     GroupSpecError,
     PermutationSpec,
+    QueryCounts,
     QueryMeter,
     enumerate_closure,
     eval_word,
+    extend_closure,
     format_group_spec,
     make_group,
     parse_group_spec,
 )
+from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
 
 BACKEND_SPECS = [
     "cyclic:12",
@@ -132,6 +135,78 @@ def test_enumerate_closure_cases(group_for):
     assert len(enumerate_closure(S4, S4.generators)) == 24
     with pytest.raises(ClosureOverflowError):
         enumerate_closure(G, G.generators, cap=5)
+
+
+def _bfs_closure(G, gens):
+    """Breadth-first closure under product and inverse: the reference set."""
+    multipliers = list(gens) + [G.inverse(g) for g in gens]
+    seen = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        next_frontier = []
+        for u in frontier:
+            for m in multipliers:
+                v = G.product(u, m)
+                if v not in seen:
+                    seen.add(v)
+                    next_frontier.append(v)
+        frontier = next_frontier
+    return seen
+
+
+CLOSURE_SPECS = BACKEND_SPECS + [get_fixture(name).spec for name in PROTOCOL_FIXTURES]
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+def test_closure_matches_breadth_first_reference(spec):
+    G = make_group(parse_group_spec(spec))
+    elements = enumerate_closure(G, G.generators)
+    reference = _bfs_closure(G, G.generators)
+    assert elements[0] == G.identity
+    assert len(elements) == len(set(elements))
+    assert set(elements) == reference
+    # Subgroups from a few random generating lists, repeats and the
+    # identity included, most of them not normal.
+    rng = Random(3)
+    for _ in range(10):
+        gens = [rng.choice(elements) for _ in range(rng.randint(1, 3))]
+        assert set(enumerate_closure(G, gens)) == _bfs_closure(G, gens)
+
+
+def test_closure_of_cyclic12_costs_one_product_per_new_element():
+    # The powers g^2 .. g^12 of the generator: g^12 is the identity, which
+    # closes the list; g itself costs nothing.
+    G = make_group(CyclicSpec(12))
+    meter = QueryMeter()
+    with meter.measuring():
+        assert len(enumerate_closure(G, G.generators)) == 12
+    assert meter.snapshot() == QueryCounts(product=11, inverse=0)
+
+
+@pytest.mark.parametrize("spec,order", [("cyclic:12", 12), ("perm:4:(1 2),(1 2 3 4)", 24)])
+def test_closure_cap_is_exact(spec, order):
+    # On S4 the closure grows by cosets of <(1 2)>, so the cap falls
+    # inside the last coset.
+    G = make_group(parse_group_spec(spec))
+    assert len(enumerate_closure(G, G.generators, cap=order)) == order
+    with pytest.raises(ClosureOverflowError):
+        enumerate_closure(G, G.generators, cap=order - 1)
+
+
+def test_extend_closure_grows_by_whole_cosets():
+    G = make_group(parse_group_spec("perm:3:(1 2),(1 2 3)"))
+    swap, cycle = G.generators
+    elements, members, gens = [G.identity], {G.identity}, []
+    assert extend_closure(G, elements, members, gens, swap)
+    assert elements == [G.identity, swap] and gens == [swap]
+    # <(1 2)> is not normal in S3; the three cosets H·r still list S3.
+    assert extend_closure(G, elements, members, gens, cycle)
+    assert len(elements) == 6 and members == set(elements) and gens == [swap, cycle]
+    for k in range(0, 6, 2):
+        r = elements[k]
+        assert elements[k + 1] == G.product(swap, r)
+    assert not extend_closure(G, elements, members, gens, G.product(swap, cycle))
+    assert len(elements) == 6 and len(gens) == 2
 
 
 @pytest.mark.parametrize("spec", BACKEND_SPECS)

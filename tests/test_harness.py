@@ -4,7 +4,10 @@ import pytest
 
 from orderproof import (
     ExperimentConfig,
+    SubproductSampler,
     UsageError,
+    make_group,
+    parse_group_spec,
     run_experiment,
     wilson_interval,
 )
@@ -160,6 +163,22 @@ def test_cli_sampler_test(capsys):
     )
 
 
+def test_cli_sampler_test_counts_only_the_sampler(capsys):
+    # The TV check enumerates the group after the draws; its queries are the
+    # diagnostic's, not the sampler's.
+    G = make_group(parse_group_spec("cyclic:12"))
+    sampler = SubproductSampler(G, G.generators, 0.25, 0)
+    for _ in range(10):
+        sampler.draw()
+    direct = G.query_counts().total
+    assert main([
+        "sampler-test", "--group", "cyclic:12", "--mode", "subproduct",
+        "--epsilon", "0.25", "--draws", "10", "--seed", "0",
+    ]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["queries"] == direct == 95
+
+
 def test_cli_pcgs(capsys):
     code = main(["pcgs", "--group", "cyclic:12", "--primes", "2,3"])
     assert code == 0
@@ -169,6 +188,8 @@ def test_cli_pcgs(capsys):
     assert len(payload["elements"]) == payload["length"]
     # The compacted tower the protocols run: (6, 9, 3, 1), with 3 in <6, 9>.
     assert (payload["rounds"], payload["trivial_rounds"], payload["inflatable_rounds"]) == (4, 1, 1)
+    # pcgs, order, refinement and normal-form tables, each paid once.
+    assert payload["setup_queries"] == 59
 
 
 def test_cli_pcgs_without_primes_has_no_round_counts(capsys):

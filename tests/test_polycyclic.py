@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -27,7 +28,7 @@ from orderproof import (
     refinement_exponents,
 )
 from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
-from orderproof.polycyclic import MILLER_RABIN_EXACT_BELOW, is_prime
+from orderproof.polycyclic import MILLER_RABIN_EXACT_BELOW, _conjugation_closure, is_prime
 
 
 # -- exponent schedule --------------------------------------------------------
@@ -325,6 +326,85 @@ def test_pcgs_chain_is_the_memoized_chain(group_for):
     chain = get_chain(G, pcgs.elements)
     assert G.query_counts() == queries
     assert chain.quotient_orders == pcgs.quotient_orders
+
+
+# -- set-up cost ---------------------------------------------------------------
+
+def test_group_order_reads_the_pcgs_enumeration():
+    G = make_group(parse_group_spec("perm:4:(1 2),(1 2 3 4)@seed=5"))
+    compute_pcgs(G)
+    queries = G.query_counts()
+    assert group_order(G) == 24
+    assert G.query_counts() == queries
+    # Either call order enumerates G once, so both orders cost the same.
+    totals = []
+    for first, second in ((compute_pcgs, group_order), (group_order, compute_pcgs)):
+        H = make_group(parse_group_spec("perm:4:(1 2),(1 2 3 4)@seed=5"))
+        first(H)
+        second(H)
+        totals.append(H.query_counts().total)
+    assert totals[0] == totals[1]
+
+
+@pytest.mark.parametrize("seed,order", [("(1 2)", 24), ("(1 2)(3 4)", 4), ("(1 2 3)", 12)])
+def test_normal_closure_conjugates_the_generators_it_adds(seed, order):
+    # Conjugating (1 2) by the 4-cycle gives (2 3), whose conjugate (3 4)
+    # is needed too: one round of conjugates generates only S3.
+    G = make_group(parse_group_spec(f"perm:4:(1 2 3 4),{seed}"))
+    cycle, x = G.generators
+    gens, elements = _conjugation_closure(G, [x], [cycle, x], 10**6)
+    members = set(elements)
+    assert len(elements) == len(members) == order
+    assert members == set(enumerate_closure(G, gens))
+    for c in enumerate_closure(G, G.generators):
+        for y in gens:
+            assert G.product(G.product(c, y), G.inverse(c)) in members
+
+
+def test_chain_reuses_the_quotient_order_powers():
+    # Finding m = 12 costs the products g^2 .. g^12; the coset step then
+    # takes g^a from that search, with no product for the identity row.
+    G = make_group(parse_group_spec("cyclic:12"))
+    chain = SubgroupChain(G, G.generators)
+    assert chain.quotient_orders == (12,)
+    assert G.query_counts().total == 11
+    assert [chain.decompose(1, chain.level_element(1, k)) for k in range(12)] == [
+        (k,) for k in range(12)
+    ]
+
+
+#: blake2b-128 digests of the concatenated element codes of the pcgs and of
+#: its refinement, computed with breadth-first closures and square-and-
+#: multiply refinement: the coset-step set-up must give the same towers.
+#: The relabel seeds are the benchmark's for S4 wr C2 and cyclic:32768.
+PINNED_TOWER_DIGESTS = [
+    ("perm:8:(1 2),(1 2 3 4),(1 5)(2 6)(3 7)(4 8)@seed=10819181988376914608", (2, 3),
+     "83acc45694ca1bddb36c0e5b7b487ba0", "2f063c5762d3786a755624f1c11091f5"),
+    ("cyclic:32768@seed=14532532462565509960", (2,),
+     "268aeecd9000d51f45b94dfc29a77b72", "7ccfe8f80fdb8800badbd9e6777b67cd"),
+]
+
+
+@pytest.mark.parametrize("spec,primes,pcgs_digest,refined_digest", PINNED_TOWER_DIGESTS)
+def test_towers_match_pinned_digests(spec, primes, pcgs_digest, refined_digest):
+    def digest(elements):
+        return hashlib.blake2b(b"".join(elements), digest_size=16).hexdigest()
+
+    G = make_group(parse_group_spec(spec))
+    pcgs = compute_pcgs(G)
+    assert digest(pcgs.elements) == pcgs_digest
+    assert digest(refine_with_primes(G, pcgs, primes).elements) == refined_digest
+
+
+def test_s4_cubed_setup_costs_at_most_four_queries_per_element():
+    # pcgs, order and refinement of S4^3 (order 13824); breadth-first
+    # closures and square-and-multiply refinement spent 646k queries here.
+    G = make_group(parse_group_spec("direct:" + ",".join(["perm:4:(1 2),(1 2 3 4)"] * 3)))
+    pcgs = compute_pcgs(G)
+    assert group_order(G) == 13824
+    refined = refine_with_primes(G, pcgs, (2, 3))
+    assert math.prod(refined.quotient_orders) == 13824
+    assert G.query_counts().total <= 4 * 13824
 
 
 # -- tower compaction ------------------------------------------------------------

@@ -220,6 +220,23 @@ def test_finalize_rejects_malformed_shapes(group_for):
         assert verifier_finalize(state, response).aborted
 
 
+def test_finalize_refuses_non_int_bits(group_for):
+    # 1.0 == 1 and 0.0 == 0, so only a type check keeps float bits out;
+    # IntEnum members are ints and stay accepted, as in the row check.
+    G = group_for("cyclic:12")
+    state = _hand_state(G)
+    for bits in ((1.0, 0.0, 1), (1, 0, 1.0), (1, 0, 1 + 0j)):
+        outcome = verifier_finalize(state, Response(bits=bits, exponents=((), (0,), (0, 0))))
+        assert outcome.aborted and "bit is not 0 or 1" in outcome.reason
+
+    class _Bit(IntEnum):
+        ZERO = 0
+        ONE = 1
+
+    response = Response(bits=(_Bit.ONE, _Bit.ZERO, 1), exponents=((), (0,), (0, 0)))
+    assert verifier_finalize(state, response) == Outcome.of(12)
+
+
 def _malformed_response(shape, t):
     """A response whose first malformed field is a non-sequence."""
     bits, rows = (0,) * t, tuple((0,) * i for i in range(t))
@@ -289,7 +306,7 @@ def _reference_finalize(state, response):
     for i in range(1, t + 1):
         bit = bits[i - 1]
         row = exponents[i - 1]
-        if bit not in (0, 1) or isinstance(bit, bool):
+        if not isinstance(bit, int) or isinstance(bit, bool) or bit not in (0, 1):
             return Outcome.abort(f"round {i}: bit is not 0 or 1")
         if not isinstance(row, (tuple, list)) or len(row) != i - 1:
             return Outcome.abort(f"round {i}: exponent row has wrong length")

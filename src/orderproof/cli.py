@@ -141,9 +141,14 @@ def _cmd_sampler_test(args) -> int:
     for _ in range(args.draws):
         code = sampler.draw()
         counts[code] = counts.get(code, 0) + 1
-    # The sampler's cost only: the closure below is the diagnostic's own.
+    # The sampler's cost only.  The TV check reads the exact sampler's own
+    # list of G; the subproduct mode enumerates G after this count.
     delta = G.query_counts() - before
-    tv = tv_distance_empirical(counts, enumerate_closure(G, G.generators))
+    if args.mode == "exact":
+        subgroup = sampler.elements
+    else:
+        subgroup = enumerate_closure(G, G.generators)
+    tv = tv_distance_empirical(counts, subgroup)
     _emit(
         {
             "group": args.group,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import DEFAULT_CLOSURE_CAP, make_group, parse_group_spec
+from .groups import make_group, parse_group_spec
 from .polycyclic import NotSolvableError, compute_pcgs, group_order
 
 
@@ -38,14 +38,14 @@ def get_fixture(name: str) -> Fixture:
     raise KeyError(f"unknown fixture {name!r}; known: {known}")
 
 
-def fixture_report(cap: int = DEFAULT_CLOSURE_CAP) -> list[dict]:
+def fixture_report() -> list[dict]:
     """Catalog with live-computed orders and solvability flags."""
     rows = []
     for fixture in CATALOG:
         G = make_group(parse_group_spec(fixture.spec))
-        order = group_order(G, cap)
+        order = group_order(G)
         try:
-            compute_pcgs(G, cap)
+            compute_pcgs(G)
             solvable = True
         except NotSolvableError:
             solvable = False

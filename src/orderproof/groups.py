@@ -29,7 +29,11 @@ from typing import Any, Callable, Iterable, Sequence, TypeVar, Union
 
 ElementCode = bytes
 
-#: Hard ceiling for brute-force subgroup enumeration.
+#: The one closure bound: no enumeration lists a subgroup of more elements.
+#: ``enumerate_closure`` and ``extend_closure`` take it as their ``cap``
+#: default (tests pass smaller caps to pin the exact rule); ``SubgroupChain``
+#: applies it to its quotient order search and levels, and the 3-message
+#: commitment check derives its tower length guardrail from it.
 DEFAULT_CLOSURE_CAP = 10**6
 
 

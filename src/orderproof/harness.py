@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from random import Random
 
-from .groups import DEFAULT_CLOSURE_CAP, make_group, parse_group_spec
+from .groups import make_group, parse_group_spec
 from .polycyclic import group_order
 from .protocol import Transcript, canonical_json_bytes, outcome_to_wire, run_repeated
 from .prover import PROVERS, make_prover
@@ -54,7 +54,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
     transcripts: str | None = None
-    closure_cap: int = DEFAULT_CLOSURE_CAP
 
     def validate(self) -> None:
         if self.protocol not in ("2msg", "3msg"):
@@ -157,10 +156,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
     """Execute a seeded campaign and write any requested artifacts."""
     config.validate()
     G = make_group(parse_group_spec(config.group))
-    expected = group_order(G, config.closure_cap)
+    expected = group_order(G)
 
     def factory(group, rng: Random):
-        return make_prover(config.prover, group, rng, config.closure_cap)
+        return make_prover(config.prover, group, rng)
 
     report = Report(config=config, group_order=expected)
     log_lines: list[bytes] = []
@@ -173,7 +172,6 @@ def run_experiment(config: ExperimentConfig) -> Report:
             config.repetitions,
             derive_seed(config.seed, f"trial-{trial}"),
             primes=config.primes,
-            cap=config.closure_cap,
         )
         if outcome.aborted:
             report.abort += 1

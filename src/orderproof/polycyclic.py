@@ -13,7 +13,9 @@ the decomposition and membership queries that a computationally stronger
 party would answer.  ``compact_tower`` drops the identity and repeated
 positions of a refined tower by code equality alone; the honest 3-message
 prover commits to that tower.  Every result is memoized on the oracle (see
-``groups.memoized``), so it is freed with the oracle.
+``groups.memoized``), so it is freed with the oracle.  Every enumeration is
+bounded by the one closure bound ``groups.DEFAULT_CLOSURE_CAP``, so a memo
+key names only what the result depends on: the tower or the primes.
 """
 
 from __future__ import annotations
@@ -140,17 +142,12 @@ class SubgroupChain:
     quotient order.  That union is the subgroup only when each level is
     normal in the next; a collision between cosets raises ChainError, but
     callers feeding untrusted sequences must establish normality separately
-    (the 3-message commitment check does).
+    (the 3-message commitment check does).  A quotient order search or a
+    level past ``DEFAULT_CLOSURE_CAP`` elements raises ClosureOverflowError.
     """
 
-    def __init__(
-        self,
-        G: GroupOracle,
-        elements: Sequence[ElementCode],
-        cap: int = DEFAULT_CLOSURE_CAP,
-    ):
+    def __init__(self, G: GroupOracle, elements: Sequence[ElementCode]):
         self.G = G
-        self.cap = cap
         self.elements: tuple[ElementCode, ...] = ()
         self.quotient_orders: tuple[int, ...] = ()
         self._exponents: dict[ElementCode, tuple[int, ...]] = {G.identity: ()}
@@ -163,7 +160,7 @@ class SubgroupChain:
 
     def _append(self, h: ElementCode) -> None:
         """Grow the tower by h: the next level is the union of level·h^a."""
-        G, cap = self.G, self.cap
+        G = self.G
         exponents, codes = self._exponents, self._codes
         size = len(codes)
         # powers[a - 1] = h^a for every a below the quotient order m.
@@ -171,11 +168,15 @@ class SubgroupChain:
         while cur not in exponents:
             powers.append(cur)
             cur = G.product(cur, h)
-            if len(powers) >= cap:
-                raise ClosureOverflowError(f"quotient order search exceeded cap of {cap}")
+            if len(powers) >= DEFAULT_CLOSURE_CAP:
+                raise ClosureOverflowError(
+                    f"quotient order search exceeded cap of {DEFAULT_CLOSURE_CAP}"
+                )
         m = len(powers) + 1
-        if size * m > cap:
-            raise ClosureOverflowError(f"subgroup level exceeded cap of {cap} elements")
+        if size * m > DEFAULT_CLOSURE_CAP:
+            raise ClosureOverflowError(
+                f"subgroup level exceeded cap of {DEFAULT_CLOSURE_CAP} elements"
+            )
         if m > 1:
             zeros = self._zeros
             level = len(self.elements)
@@ -235,28 +236,24 @@ class SubgroupChain:
         return exps + self._zeros[j - len(exps)]
 
 
-def get_chain(
-    G: GroupOracle,
-    elements: Sequence[ElementCode],
-    cap: int = DEFAULT_CLOSURE_CAP,
-) -> SubgroupChain:
+def get_chain(G: GroupOracle, elements: Sequence[ElementCode]) -> SubgroupChain:
     """Memoized SubgroupChain lookup (chains are never changed once built)."""
     elements = tuple(elements)
-    return memoized(G, ("chain", elements, cap), lambda: SubgroupChain(G, elements, cap))
+    return memoized(G, ("chain", elements), lambda: SubgroupChain(G, elements))
 
 
-def _group_elements(G: GroupOracle, cap: int) -> list[ElementCode]:
-    """Every element of G, enumerated once per oracle and cap (memoized)."""
-    return memoized(G, ("closure", cap), lambda: enumerate_closure(G, G.generators, cap))
+def _group_elements(G: GroupOracle) -> list[ElementCode]:
+    """Every element of G, enumerated once per oracle (memoized)."""
+    return memoized(G, ("closure",), lambda: enumerate_closure(G, G.generators))
 
 
-def group_order(G: GroupOracle, cap: int = DEFAULT_CLOSURE_CAP) -> int:
+def group_order(G: GroupOracle) -> int:
     """Order of the full group, from the one memoized enumeration of G.
 
     ``compute_pcgs`` reads the same enumeration, so whichever of the two
     runs first pays for it and the other makes no query.
     """
-    return len(_group_elements(G, cap))
+    return len(_group_elements(G))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +264,6 @@ def _conjugation_closure(
     G: GroupOracle,
     seed_gens: list[ElementCode],
     conjugators: list[ElementCode],
-    cap: int,
 ) -> tuple[list[ElementCode], list[ElementCode]]:
     """Smallest subgroup containing ``seed_gens`` closed under conjugation.
 
@@ -281,7 +277,7 @@ def _conjugation_closure(
     """
     elements, members, gens = [G.identity], {G.identity}, []
     for g in seed_gens:
-        extend_closure(G, elements, members, gens, g, cap)
+        extend_closure(G, elements, members, gens, g)
     conj_inverses = [G.inverse(c) for c in conjugators]
     conjugated = 0
     while conjugated < len(gens):
@@ -289,16 +285,14 @@ def _conjugation_closure(
         conjugated += 1
         for c, c_inv in zip(conjugators, conj_inverses):
             y = G.product(G.product(c, x), c_inv)
-            extend_closure(G, elements, members, gens, y, cap)
+            extend_closure(G, elements, members, gens, y)
     return gens, elements
 
 
-def _derived_series(
-    G: GroupOracle, cap: int
-) -> list[list[ElementCode]]:
+def _derived_series(G: GroupOracle) -> list[list[ElementCode]]:
     """Element lists of the derived series, ending with the trivial group."""
     level_gens = list(G.generators)
-    elements = _group_elements(G, cap)
+    elements = _group_elements(G)
     series = [elements]
     while len(elements) > 1:
         commutators = []
@@ -307,7 +301,7 @@ def _derived_series(
             for b in level_gens:
                 c = G.product(G.product(a, b), G.product(inverses[a], inverses[b]))
                 commutators.append(c)
-        next_gens, next_elements = _conjugation_closure(G, commutators, level_gens, cap)
+        next_gens, next_elements = _conjugation_closure(G, commutators, level_gens)
         if len(next_elements) >= len(elements):
             raise NotSolvableError(
                 "derived series stabilized above the trivial group"
@@ -317,7 +311,7 @@ def _derived_series(
     return series
 
 
-def compute_pcgs(G: GroupOracle, cap: int = DEFAULT_CLOSURE_CAP) -> PolycyclicSequence:
+def compute_pcgs(G: GroupOracle) -> PolycyclicSequence:
     """Polycyclic generating sequence via the derived series (memoized).
 
     The top of the series is the one memoized enumeration of G that
@@ -333,19 +327,19 @@ def compute_pcgs(G: GroupOracle, cap: int = DEFAULT_CLOSURE_CAP) -> PolycyclicSe
     Raises NotSolvableError when the derived series does not reach the
     trivial group.
     """
-    return memoized(G, ("pcgs", cap), lambda: _build_pcgs(G, cap))
+    return memoized(G, ("pcgs",), lambda: _build_pcgs(G))
 
 
-def _build_pcgs(G: GroupOracle, cap: int) -> PolycyclicSequence:
-    series = _derived_series(G, cap)
-    chain = SubgroupChain(G, (), cap)
+def _build_pcgs(G: GroupOracle) -> PolycyclicSequence:
+    series = _derived_series(G)
+    chain = SubgroupChain(G, ())
     for layer in reversed(series):
         for candidate in sorted(layer):
             if chain.group_order() == len(layer):
                 break
             if not chain.is_member(len(chain), candidate):
                 chain._append(candidate)
-    memoized(G, ("chain", chain.elements, cap), lambda: chain)
+    memoized(G, ("chain", chain.elements), lambda: chain)
     return PolycyclicSequence(chain.elements, None, chain.quotient_orders)
 
 
@@ -385,14 +379,12 @@ def refine_with_primes(
     G: GroupOracle,
     pcgs: PolycyclicSequence,
     primes: Iterable[int],
-    n: int | None = None,
-    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> PolycyclicSequence:
     """Refine a polycyclic sequence so each quotient order is 1 or a prime.
 
     This is the paper's refinement: each sequence element k is replaced by
     its powers k^e over the full exponent schedule, giving l*n entries per
-    original element, all of which are returned; the 2-message verifier
+    original element (n is the encoding length), all of which are returned; the 2-message verifier
     runs on this tower.  Most positions are the identity or repeat an
     earlier element, and ``compact_tower`` drops them for the honest
     3-message commitment.  The prime attached to a refined position is the
@@ -410,15 +402,13 @@ def refine_with_primes(
     oracle (the computation is deterministic).
     """
     ordered = tuple(sorted(set(primes)))
-    if n is None:
-        n = G.encoding_length
     if not pcgs.elements:
         return PolycyclicSequence((), (), ())
     if not ordered:
         raise RefinementError("prime set must cover the group order; got an empty set")
 
     def build() -> PolycyclicSequence:
-        schedule = refinement_exponents(ordered, n)
+        schedule = refinement_exponents(ordered, G.encoding_length)
         ratios = [a // b for a, b in zip(schedule, schedule[1:])]
         elements: list[ElementCode] = []
         for k in pcgs.elements:
@@ -431,7 +421,7 @@ def refine_with_primes(
             elements.extend(reversed(block))
         attached = [ordered[0], *ratios] * len(pcgs.elements)
 
-        chain = get_chain(G, elements, cap)
+        chain = get_chain(G, elements)
         orders = chain.quotient_orders
         for i, (m, r) in enumerate(zip(orders, attached)):
             if m not in (1, r):
@@ -439,14 +429,14 @@ def refine_with_primes(
                     f"quotient order {m} at position {i + 1} is not in {{1, {r}}}; "
                     f"the prime set {list(ordered)} may be missing a factor of the order"
                 )
-        expected = group_order(G, cap)
+        expected = group_order(G)
         if chain.group_order() != expected:
             raise RefinementError(
                 f"refined sequence generates {chain.group_order()} of {expected} elements"
             )
         return PolycyclicSequence(tuple(elements), tuple(attached), orders)
 
-    return memoized(G, ("refine", pcgs.elements, ordered, n, cap), build)
+    return memoized(G, ("refine", pcgs.elements, ordered), build)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,9 @@ from .polycyclic import (
 from .prover import Commitment, HonestProver, Response
 from .sampling import as_rng, derive_seed
 
-#: Guardrail on prover-committed tower length: t <= FACTOR * n * s * log2(cap).
+#: Guardrail on prover-committed tower length:
+#: t <= FACTOR * n * s * log2(DEFAULT_CLOSURE_CAP), with n the encoding length
+#: and s the number of group generators.
 COMMITMENT_LENGTH_FACTOR = 4
 
 ProverFactory = Callable[[GroupOracle, Random], HonestProver]
@@ -302,7 +304,6 @@ def verifier_setup_2msg(
     G: GroupOracle,
     primes: Sequence[int],
     seed_or_rng,
-    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> tuple[VerifierState, Challenge]:
     """Build the refined tower and issue the 2-message challenge.
 
@@ -310,9 +311,8 @@ def verifier_setup_2msg(
     built; runners convert that into an abort before anything is sent.
     """
     rng = as_rng(seed_or_rng)
-    base = compute_pcgs(G, cap)
-    refined = refine_with_primes(G, base, primes, cap=cap)
-    chain = get_chain(G, refined.elements, cap)
+    refined = refine_with_primes(G, compute_pcgs(G), primes)
+    chain = get_chain(G, refined.elements)
     bits, masks, masked = _issue_challenge(G, chain, refined.elements, rng)
     state = VerifierState(
         G=G,
@@ -330,23 +330,29 @@ def verifier_check_commitment(
     G: GroupOracle,
     generators: Sequence[ElementCode],
     commitment: Commitment,
-    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> str | None:
     """Run the commitment checks; return an abort reason or None on pass.
 
-    Shape validation first (the tower length guardrail, lengths, integer
-    ranges, primes bounded by 2^n before primality), then the three
-    families of equality checks: each group generator decomposes over the
-    full tower, each element's claimed prime power falls back into its
-    prefix (with the first element's power equal to the identity), and each
-    conjugate of an earlier element falls back into the prefix.  Passing certifies the committed sequence is a
+    Shape validation first (every field, row and block a tuple or list, the
+    tower length guardrail, lengths, integer ranges, primes bounded by 2^n
+    before primality), then the three families of equality checks: each
+    group generator decomposes over the full tower, each element's claimed
+    prime power falls back into its prefix (with the first element's power
+    equal to the identity), and each conjugate of an earlier element falls
+    back into the prefix.  Passing certifies the committed sequence is a
     polycyclic tower for the whole group with quotient orders in {1, r_i}.
+    A malformed commitment of any shape returns a reason; it never raises.
     """
-    t = commitment.length
+    c = commitment
+    fields = (c.elements, c.primes, c.generator_exponents, c.power_exponents,
+              c.conjugate_exponents)
+    if any(not isinstance(f, (tuple, list)) for f in fields):
+        return "commitment fields must be sequences"
+    t = len(commitment.elements)
     n = G.encoding_length
     exponent_cap = 1 << n
     max_length = COMMITMENT_LENGTH_FACTOR * n * max(1, len(generators)) * max(
-        1, math.ceil(math.log2(cap))
+        1, math.ceil(math.log2(DEFAULT_CLOSURE_CAP))
     )
     if t > max_length:
         return f"committed sequence length {t} exceeds guardrail {max_length}"
@@ -363,7 +369,7 @@ def verifier_check_commitment(
             return f"committed value {r!r} is not a prime"
 
     def bad_row(row, expected_len) -> bool:
-        return len(row) != expected_len or any(
+        return not isinstance(row, (tuple, list)) or len(row) != expected_len or any(
             not isinstance(a, int) or isinstance(a, bool) or a < 0 or a > exponent_cap
             for a in row
         )
@@ -381,7 +387,11 @@ def verifier_check_commitment(
     if len(commitment.conjugate_exponents) != max(0, t - 1):
         return "conjugate decomposition table has the wrong number of blocks"
     for i, block in enumerate(commitment.conjugate_exponents, start=2):
-        if len(block) != i - 1 or any(bad_row(row, i - 1) for row in block):
+        if (
+            not isinstance(block, (tuple, list))
+            or len(block) != i - 1
+            or any(bad_row(row, i - 1) for row in block)
+        ):
             return "malformed conjugate decomposition block"
 
     h = commitment.elements
@@ -463,12 +473,20 @@ def _log(transcript: Transcript, direction: str, kind: str, body: dict) -> None:
     )
 
 
+def _finish(
+    transcript: Transcript, meter: QueryMeter, outcome: Outcome
+) -> tuple[Outcome, Transcript]:
+    """Record the outcome and the metered queries; the runners return this."""
+    transcript.outcome = outcome
+    transcript.queries = meter.snapshot()
+    return outcome, transcript
+
+
 def run_protocol_2msg(
     G: GroupOracle,
     primes: Sequence[int],
     prover_factory: ProverFactory,
     seed: int,
-    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> tuple[Outcome, Transcript]:
     """One seeded execution of the 2-message protocol."""
     transcript = Transcript(protocol="2msg", seed=seed)
@@ -479,15 +497,14 @@ def run_protocol_2msg(
     # Warm the deterministic tower shared by every run of this (G, primes)
     # configuration, so per-run counters are replay-independent.
     try:
-        refined = refine_with_primes(G, compute_pcgs(G, cap), primes, cap=cap)
-        get_chain(G, refined.elements, cap)
+        refined = refine_with_primes(G, compute_pcgs(G), primes)
+        get_chain(G, refined.elements)
     except (NotSolvableError, RefinementError, ClosureOverflowError) as exc:
-        transcript.outcome = Outcome.abort(f"verifier tower construction failed: {exc}")
-        transcript.queries = meter.snapshot()
-        return transcript.outcome, transcript
+        reason = f"verifier tower construction failed: {exc}"
+        return _finish(transcript, meter, Outcome.abort(reason))
 
     with meter.measuring():
-        state, challenge = verifier_setup_2msg(G, primes, rng_verifier, cap)
+        state, challenge = verifier_setup_2msg(G, primes, rng_verifier)
     _log(transcript, "V->P", "challenge", challenge_to_wire(challenge))
 
     prover = prover_factory(G, rng_prover)
@@ -496,18 +513,19 @@ def run_protocol_2msg(
 
     with meter.measuring():
         outcome = verifier_finalize(state, response)
-    transcript.outcome = outcome
-    transcript.queries = meter.snapshot()
-    return outcome, transcript
+    return _finish(transcript, meter, outcome)
 
 
 def run_protocol_3msg(
     G: GroupOracle,
     prover_factory: ProverFactory,
     seed: int,
-    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> tuple[Outcome, Transcript]:
-    """One seeded execution of the 3-message protocol."""
+    """One seeded execution of the 3-message protocol.
+
+    A commitment that cannot be encoded for the log (a field or a code of
+    the wrong type) aborts before anything is logged or checked.
+    """
     transcript = Transcript(protocol="3msg", seed=seed)
     rng_verifier = Random(derive_seed(seed, "verifier"))
     rng_prover = Random(derive_seed(seed, "prover"))
@@ -517,27 +535,24 @@ def run_protocol_3msg(
     try:
         commitment = prover.commit()
     except NotSolvableError as exc:
-        transcript.outcome = Outcome.abort(f"prover gave up: {exc}")
-        transcript.queries = meter.snapshot()
-        return transcript.outcome, transcript
-    _log(transcript, "P->V", "commitment", commitment_to_wire(commitment))
+        return _finish(transcript, meter, Outcome.abort(f"prover gave up: {exc}"))
+    try:
+        _log(transcript, "P->V", "commitment", commitment_to_wire(commitment))
+    except (AttributeError, TypeError, ValueError) as exc:
+        return _finish(transcript, meter, Outcome.abort(f"commitment cannot be encoded: {exc}"))
 
     with meter.measuring():
-        reason = verifier_check_commitment(G, G.generators, commitment, cap)
+        reason = verifier_check_commitment(G, G.generators, commitment)
     if reason is not None:
-        transcript.outcome = Outcome.abort(f"commitment check failed: {reason}")
-        transcript.queries = meter.snapshot()
-        return transcript.outcome, transcript
+        return _finish(transcript, meter, Outcome.abort(f"commitment check failed: {reason}"))
 
     # Table construction is the sampler's amortized precomputation; keep it
     # outside the per-run counters (it is shared by every run that receives
     # this tower).
     try:
-        chain = get_chain(G, commitment.elements, cap)
+        chain = get_chain(G, commitment.elements)
     except (ClosureOverflowError, ChainError) as exc:
-        transcript.outcome = Outcome.abort(f"committed tower is intractable: {exc}")
-        transcript.queries = meter.snapshot()
-        return transcript.outcome, transcript
+        return _finish(transcript, meter, Outcome.abort(f"committed tower is intractable: {exc}"))
 
     with meter.measuring():
         bits, masks, masked = _issue_challenge(G, chain, commitment.elements, rng_verifier)
@@ -558,9 +573,7 @@ def run_protocol_3msg(
 
     with meter.measuring():
         outcome = verifier_finalize(state, response)
-    transcript.outcome = outcome
-    transcript.queries = meter.snapshot()
-    return outcome, transcript
+    return _finish(transcript, meter, outcome)
 
 
 def unanimous_outcome(outcomes: Sequence[Outcome]) -> Outcome:
@@ -580,10 +593,8 @@ def run_repeated(
     repetitions: int,
     seed: int,
     primes: Sequence[int] | None = None,
-    cap: int = DEFAULT_CLOSURE_CAP,
-    combiner: Callable[[Sequence[Outcome]], Outcome] = unanimous_outcome,
 ) -> tuple[Outcome, list[Transcript]]:
-    """Run k independent seeded executions and combine their outcomes."""
+    """Run k independent seeded executions and combine them with ``unanimous_outcome``."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     outcomes, transcripts = [], []
@@ -592,14 +603,14 @@ def run_repeated(
         if protocol == "2msg":
             if primes is None:
                 raise ValueError("the 2-message protocol needs the prime factors")
-            outcome, transcript = run_protocol_2msg(G, primes, prover_factory, copy_seed, cap)
+            outcome, transcript = run_protocol_2msg(G, primes, prover_factory, copy_seed)
         elif protocol == "3msg":
-            outcome, transcript = run_protocol_3msg(G, prover_factory, copy_seed, cap)
+            outcome, transcript = run_protocol_3msg(G, prover_factory, copy_seed)
         else:
             raise ValueError(f"unknown protocol {protocol!r}")
         outcomes.append(outcome)
         transcripts.append(transcript)
-    return combiner(outcomes), transcripts
+    return unanimous_outcome(outcomes), transcripts
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Collection, Sequence
 
-from .groups import DEFAULT_CLOSURE_CAP, ElementCode, GroupOracle, memoized
+from .groups import ElementCode, GroupOracle, memoized
 from .polycyclic import (
     SubgroupChain,
     compact_tower,
@@ -69,14 +69,13 @@ def build_commitment(
     G: GroupOracle,
     elements: Sequence[ElementCode],
     primes: Sequence[int],
-    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> Commitment:
     """Assemble the decomposition tables committing to a polycyclic tower."""
     elements = tuple(elements)
     primes = tuple(primes)
     if len(elements) != len(primes):
         raise ProverError("need one prime per committed element")
-    chain = get_chain(G, elements, cap)
+    chain = get_chain(G, elements)
     t = len(elements)
 
     generator_rows = []
@@ -114,7 +113,7 @@ def build_commitment(
     )
 
 
-def honest_commitment(G: GroupOracle, cap: int = DEFAULT_CLOSURE_CAP) -> Commitment:
+def honest_commitment(G: GroupOracle) -> Commitment:
     """The commitment an honest prover sends (memoized: it is deterministic).
 
     Computes the group order, factors it, refines a polycyclic sequence so
@@ -125,12 +124,12 @@ def honest_commitment(G: GroupOracle, cap: int = DEFAULT_CLOSURE_CAP) -> Commitm
     """
 
     def build() -> Commitment:
-        factors = prime_factors(group_order(G, cap))
-        refined = refine_with_primes(G, compute_pcgs(G, cap), factors, cap=cap)
+        factors = prime_factors(group_order(G))
+        refined = refine_with_primes(G, compute_pcgs(G), factors)
         tower = compact_tower(G, refined)
-        return build_commitment(G, tower.elements, tower.primes or (), cap)
+        return build_commitment(G, tower.elements, tower.primes or ())
 
-    return memoized(G, ("honest_commitment", cap), build)
+    return memoized(G, ("honest_commitment",), build)
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +143,32 @@ class HonestProver:
     subgroup; answer bit 0 and the decomposition of the round element when
     it does (all-zero exponents when no decomposition exists), else bit 1
     with all-zero exponents.
+
+    ``respond`` is the one response loop of every strategy: a subclass
+    cheats on the rounds ``_targets`` names, with the bit and row
+    ``_cheat_row`` returns, and answers every other round honestly.
     """
 
     name = "honest"
 
-    def __init__(self, G: GroupOracle, rng: Random, cap: int = DEFAULT_CLOSURE_CAP):
+    def __init__(self, G: GroupOracle, rng: Random):
         self.G = G
         self.rng = rng
-        self.cap = cap
 
     def commit(self) -> Commitment:
-        return honest_commitment(self.G, self.cap)
+        return honest_commitment(self.G)
 
-    def _chain(self, elements: Sequence[ElementCode]) -> SubgroupChain:
-        return get_chain(self.G, elements, self.cap)
+    def _targets(
+        self, chain: SubgroupChain, elements: Sequence[ElementCode]
+    ) -> Collection[int]:
+        """1-based rounds on which this strategy cheats."""
+        return ()
+
+    def _cheat_row(
+        self, chain: SubgroupChain, elements: Sequence[ElementCode], i: int
+    ) -> tuple[int, tuple[int, ...]]:
+        """The bit and exponent row sent on targeted round i."""
+        raise NotImplementedError
 
     def _honest_row(
         self, chain: SubgroupChain, elements: Sequence[ElementCode], i: int,
@@ -172,10 +183,14 @@ class HonestProver:
     def respond(
         self, elements: Sequence[ElementCode], masked: Sequence[ElementCode]
     ) -> Response:
-        chain = self._chain(elements)
+        chain = get_chain(self.G, elements)
+        targets = self._targets(chain, elements)
         bits, rows = [], []
         for i in range(1, len(elements) + 1):
-            bit, row = self._honest_row(chain, elements, i, masked[i - 1])
+            if i in targets:
+                bit, row = self._cheat_row(chain, elements, i)
+            else:
+                bit, row = self._honest_row(chain, elements, i, masked[i - 1])
             bits.append(bit)
             rows.append(row)
         return Response(tuple(bits), tuple(rows))
@@ -203,39 +218,24 @@ def _pick_other_element(
 
 
 class GuessInflateProver(HonestProver):
-    """Claims a nontrivial quotient on trivial rounds by guessing the bit.
+    """Claims a nontrivial quotient on a trivial round by guessing the bit.
 
-    On each targeted round it sends exponents decomposing a different
-    element of the prefix subgroup (so the equality test cannot pass) and a
-    uniformly random bit; everywhere else it plays honestly.  With an exact
-    challenge sampler the guess succeeds with probability exactly 1/2 per
-    targeted round.
+    On the first inflatable round it sends exponents decomposing a
+    different element of the prefix subgroup (so the equality test cannot
+    pass) and a uniformly random bit; everywhere else it plays honestly.
+    With an exact challenge sampler the guess succeeds with probability
+    exactly 1/2.
     """
 
     name = "guess_inflate"
 
-    def __init__(self, G, rng, cap=DEFAULT_CLOSURE_CAP, target_rounds: int = 1):
-        super().__init__(G, rng, cap)
-        self.target_rounds = target_rounds
+    def _targets(self, chain, elements):
+        return inflatable_rounds(chain)[:1]
 
-    def _targets(self, chain: SubgroupChain) -> set[int]:
-        return set(inflatable_rounds(chain)[: self.target_rounds])
-
-    def respond(self, elements, masked):
-        chain = self._chain(elements)
-        targets = self._targets(chain)
-        bits, rows = [], []
-        for i in range(1, len(elements) + 1):
-            if i in targets:
-                wrong = _pick_other_element(chain, i - 1, elements[i - 1], self.rng)
-                row = chain.decompose(i - 1, wrong)
-                bits.append(self.rng.getrandbits(1))
-                rows.append(row)
-            else:
-                bit, row = self._honest_row(chain, elements, i, masked[i - 1])
-                bits.append(bit)
-                rows.append(row)
-        return Response(tuple(bits), tuple(rows))
+    def _cheat_row(self, chain, elements, i):
+        wrong = _pick_other_element(chain, i - 1, elements[i - 1], self.rng)
+        row = chain.decompose(i - 1, wrong)
+        return self.rng.getrandbits(1), row
 
 
 class DeflateProver(HonestProver):
@@ -248,21 +248,12 @@ class DeflateProver(HonestProver):
 
     name = "deflate"
 
-    def respond(self, elements, masked):
-        chain = self._chain(elements)
-        bits, rows = [], []
-        for i in range(1, len(elements) + 1):
-            if chain.quotient_orders[i - 1] > 1:
-                row = tuple(
-                    self.rng.randrange(chain.quotient_orders[j]) for j in range(i - 1)
-                )
-                bits.append(self.rng.getrandbits(1))
-                rows.append(row)
-            else:
-                bit, row = self._honest_row(chain, elements, i, masked[i - 1])
-                bits.append(bit)
-                rows.append(row)
-        return Response(tuple(bits), tuple(rows))
+    def _targets(self, chain, elements):
+        return {i for i in range(1, len(chain) + 1) if chain.quotient_orders[i - 1] > 1}
+
+    def _cheat_row(self, chain, elements, i):
+        row = tuple(self.rng.randrange(chain.quotient_orders[j]) for j in range(i - 1))
+        return self.rng.getrandbits(1), row
 
 
 class RandomBitsProver(HonestProver):
@@ -290,7 +281,7 @@ class GarbageCommitmentProver(HonestProver):
     name = "garbage_commitment"
 
     def commit(self) -> Commitment:
-        c = honest_commitment(self.G, self.cap)
+        c = honest_commitment(self.G)
         paths = []
         for i, row in enumerate(c.generator_exponents):
             paths.extend(("generator", i, j) for j in range(len(row)))
@@ -322,7 +313,7 @@ class GarbageCommitmentProver(HonestProver):
                           c.power_exponents, tuple(tuple(b) for b in blocks))
 
 
-class OrderForgerProver(HonestProver):
+class OrderForgerProver(GuessInflateProver):
     """Commits to a tower misrepresenting the subgroup structure.
 
     In the 3-message protocol it appends one extra element of the full
@@ -333,45 +324,35 @@ class OrderForgerProver(HonestProver):
     winning the guessing game on the appended round.  In the 2-message
     protocol, where the verifier owns the tower, it falls back to inflating
     every inflatable trivial round, which keeps its claimed wrong order
-    consistent across repeated runs.
+    consistent across repeated runs.  Each inflated round is answered as
+    ``GuessInflateProver`` answers its one.
     """
 
     name = "order_forger"
 
-    def __init__(self, G, rng, cap=DEFAULT_CLOSURE_CAP):
-        super().__init__(G, rng, cap)
+    def __init__(self, G, rng):
+        super().__init__(G, rng)
         self._forged_elements: tuple[ElementCode, ...] | None = None
 
     def commit(self) -> Commitment:
-        honest = honest_commitment(self.G, self.cap)
-        order = group_order(self.G, self.cap)
+        honest = honest_commitment(self.G)
+        order = group_order(self.G)
         if order < 2:
             return honest
-        chain = get_chain(self.G, honest.elements, self.cap)
+        chain = get_chain(self.G, honest.elements)
         extra = chain.level_element(len(chain), self.rng.randrange(order))
         claimed_prime = prime_factors(order)[0]
         elements = honest.elements + (extra,)
         primes = honest.primes + (claimed_prime,)
         self._forged_elements = elements
-        return build_commitment(self.G, elements, primes, self.cap)
+        return build_commitment(self.G, elements, primes)
 
-    def respond(self, elements, masked):
-        chain = self._chain(elements)
+    def _targets(self, chain, elements):
+        # The appended round's prefix is the whole group, of order >= 2, so
+        # it always holds a wrong element to decompose.
         if self._forged_elements == tuple(elements):
-            targets = {len(elements)}
-        else:
-            targets = set(inflatable_rounds(chain))
-        bits, rows = [], []
-        for i in range(1, len(elements) + 1):
-            if i in targets and chain.level_order(i - 1) >= 2:
-                wrong = _pick_other_element(chain, i - 1, elements[i - 1], self.rng)
-                rows.append(chain.decompose(i - 1, wrong))
-                bits.append(self.rng.getrandbits(1))
-            else:
-                bit, row = self._honest_row(chain, elements, i, masked[i - 1])
-                bits.append(bit)
-                rows.append(row)
-        return Response(tuple(bits), tuple(rows))
+            return {len(elements)}
+        return set(inflatable_rounds(chain))
 
 
 PROVERS = {
@@ -392,13 +373,11 @@ def list_adversaries() -> list[str]:
     return [name for name in PROVERS if name != "honest"]
 
 
-def make_prover(
-    name: str, G: GroupOracle, rng: Random, cap: int = DEFAULT_CLOSURE_CAP, **params
-) -> HonestProver:
+def make_prover(name: str, G: GroupOracle, rng: Random) -> HonestProver:
     """Instantiate a prover strategy by registry name."""
     try:
         cls = PROVERS[name]
     except KeyError:
         known = ", ".join(sorted(PROVERS))
         raise ValueError(f"unknown prover {name!r}; known: {known}") from None
-    return cls(G, rng, cap, **params)
+    return cls(G, rng)

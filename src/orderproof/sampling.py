@@ -16,12 +16,7 @@ import math
 from random import Random
 from typing import Collection, Mapping, Sequence
 
-from .groups import (
-    DEFAULT_CLOSURE_CAP,
-    ElementCode,
-    GroupOracle,
-    enumerate_closure,
-)
+from .groups import ElementCode, GroupOracle, enumerate_closure
 
 
 class SamplerEscapeError(ValueError):
@@ -44,15 +39,9 @@ def as_rng(seed_or_rng) -> Random:
 class ExactSampler:
     """Exactly uniform draws over an enumerated subgroup (epsilon = 0)."""
 
-    def __init__(
-        self,
-        G: GroupOracle,
-        gens: Sequence[ElementCode],
-        seed_or_rng=0,
-        cap: int = DEFAULT_CLOSURE_CAP,
-    ):
+    def __init__(self, G: GroupOracle, gens: Sequence[ElementCode], seed_or_rng=0):
         self.G = G
-        self.elements = enumerate_closure(G, gens, cap)
+        self.elements = enumerate_closure(G, gens)
         self._rng = as_rng(seed_or_rng)
 
     def draw(self) -> ElementCode:

@@ -179,6 +179,19 @@ def test_cli_sampler_test_counts_only_the_sampler(capsys):
     assert payload["queries"] == direct == 95
 
 
+def test_cli_sampler_test_exact_enumerates_once(capsys, monkeypatch):
+    # The exact sampler's own list of G serves the TV check.
+    def fail(*args, **kwargs):
+        raise AssertionError("the exact mode enumerated G a second time")
+
+    monkeypatch.setattr("orderproof.cli.enumerate_closure", fail)
+    assert main([
+        "sampler-test", "--group", "perm:4:(1 2),(1 2 3 4)", "--mode", "exact",
+        "--draws", "100", "--seed", "3",
+    ]) == 0
+    assert json.loads(capsys.readouterr().out)["tv_distance"] > 0
+
+
 def test_cli_pcgs(capsys):
     code = main(["pcgs", "--group", "cyclic:12", "--primes", "2,3"])
     assert code == 0

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import orderproof.protocol as protocol_mod
 from orderproof import (
+    HonestProver,
     Outcome,
     Response,
     WireError,
@@ -154,6 +155,31 @@ def test_non_bytes_element_code_aborts(group_for):
     tampered = Commitment(("junk",) + c.elements[1:], c.primes, c.generator_exponents,
                           c.power_exponents, c.conjugate_exponents)
     assert "byte strings" in verifier_check_commitment(G, G.generators, tampered)
+
+
+def _non_sequence_commitment(c, shape):
+    """The hand commitment with one field, row or block that is not a sequence."""
+    return {
+        "int-generator-row": dataclasses.replace(
+            c, generator_exponents=(0,) + c.generator_exponents[1:]),
+        "none-power-row": dataclasses.replace(
+            c, power_exponents=(None,) + c.power_exponents[1:]),
+        "int-conjugate-block": dataclasses.replace(
+            c, conjugate_exponents=(0,) + c.conjugate_exponents[1:]),
+        "none-primes": dataclasses.replace(c, primes=None),
+        "none-generator-exponents": dataclasses.replace(c, generator_exponents=None),
+        "int-elements": dataclasses.replace(c, elements=3),
+    }[shape]
+
+
+@pytest.mark.parametrize("shape", [
+    "int-generator-row", "none-power-row", "int-conjugate-block",
+    "none-primes", "none-generator-exponents", "int-elements",
+])
+def test_non_sequence_commitment_aborts(group_for, shape):
+    G = group_for("cyclic:12")
+    tampered = _non_sequence_commitment(_hand_commitment(G), shape)
+    assert isinstance(verifier_check_commitment(G, G.generators, tampered), str)
 
 
 def test_shape_mismatch_aborts(group_for):
@@ -416,6 +442,43 @@ def test_run_3msg_trivial_group(group_for):
     assert outcome == Outcome.of(1)
 
 
+def test_runner_aborts_when_the_tower_cannot_be_built(group_for):
+    a5 = group_for("perm:5:(1 2 3),(3 4 5)")
+    outcome, _ = run_protocol_2msg(a5, (2, 3, 5), _factory("honest"), 0)
+    assert outcome.reason.startswith("verifier tower construction failed")
+    outcome, _ = run_protocol_3msg(a5, _factory("honest"), 0)
+    assert outcome.reason.startswith("prover gave up")
+    # S4's order 24 has the factor 3, which the prime set (2,) misses.
+    outcome, transcript = run_protocol_2msg(group_for(S4), (2,), _factory("honest"), 0)
+    assert outcome.reason.startswith("verifier tower construction failed")
+    assert "prime set" in outcome.reason
+    assert transcript.messages == [] and transcript.queries.total == 0
+
+
+class _UnencodableProver(HonestProver):
+    """Commits to the honest commitment with one field the wire codec cannot encode."""
+
+    def __init__(self, G, rng, **fields):
+        super().__init__(G, rng)
+        self.fields = fields
+
+    def commit(self):
+        return dataclasses.replace(honest_commitment(self.G), **self.fields)
+
+
+@pytest.mark.parametrize("fields", [
+    {"elements": ("zz",)},
+    {"generator_exponents": 5},
+], ids=["str-element-code", "int-generator-exponents"])
+def test_unencodable_commitment_aborts_before_logging(group_for, fields):
+    G = group_for(S4)
+    outcome, transcript = run_protocol_3msg(
+        G, lambda g, rng: _UnencodableProver(g, rng, **fields), 0
+    )
+    assert outcome.reason.startswith("commitment cannot be encoded")
+    assert transcript.messages == [] and transcript.queries.total == 0
+
+
 def test_transcript_sizes_match_canonical_bodies(group_for):
     G = group_for("cyclic:12")
     _, transcript = run_protocol_2msg(G, (2, 3), _factory("honest"), 3)
@@ -485,7 +548,9 @@ def test_large_levels_draw_masks_from_the_table(group_for):
 #: change to table layout or sampling order cannot silently alter transcripts.
 #: The honest 3-message commitment is the compacted S4 tower: four rounds,
 #: none an adversary can inflate, so guess_inflate plays honestly there and
-#: shares the honest 3-message digests.
+#: shares the honest 3-message digests.  The deflate and order_forger runs pin
+#: the order in which each cheating round draws its random numbers; the
+#: seed-2 3-message order_forger run is accepted with the forged order 48.
 PINNED_S4_DIGESTS = {
     ("2msg", "honest", 1): "6f538565ec25b82789fd1c92f765495f",
     ("2msg", "honest", 2): "dfa8b28bc36c7b627651c3a4c867f94c",
@@ -495,6 +560,10 @@ PINNED_S4_DIGESTS = {
     ("3msg", "honest", 2): "cdf6aa1b026a13dc8eeec616620e7ea3",
     ("3msg", "guess_inflate", 1): "364224727fc55a748c5fbab16e8994a2",
     ("3msg", "guess_inflate", 2): "cdf6aa1b026a13dc8eeec616620e7ea3",
+    ("2msg", "deflate", 1): "1b42a33a7bc6edbbed619e4cfb456381",
+    ("2msg", "order_forger", 1): "9ef2c7a66ca26e6163be7a332e10127b",
+    ("3msg", "order_forger", 1): "d9316a1aa792bb01f3c7e5fa3f32f7f8",
+    ("3msg", "order_forger", 2): "eb37c24597bc181f68cd799025196f0c",
 }
 
 

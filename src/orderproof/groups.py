@@ -238,9 +238,9 @@ class _Relabeling:
         self.n_bits = n_bits
         self.low_bits = (n_bits + 1) // 2
         self.high_bits = n_bits - self.low_bits
-        self._key = hashlib.blake2b(
-            seed.to_bytes(16, "big", signed=False), digest_size=32
-        ).digest()
+        key = hashlib.blake2b(seed.to_bytes(16, "big", signed=False), digest_size=32).digest()
+        # Keyed once; each round hash starts from a copy of this state.
+        self._keyed = hashlib.blake2b(key=key, digest_size=64)
         self._half_bytes = (max(self.low_bits, self.high_bits) + 7) // 8 or 1
 
     def _round_value(self, value: int, round_index: int, width: int) -> int:
@@ -249,9 +249,8 @@ class _Relabeling:
         out = b""
         block = 0
         while len(out) < need:
-            digest = hashlib.blake2b(
-                data + bytes([round_index, block]), key=self._key, digest_size=64
-            )
+            digest = self._keyed.copy()
+            digest.update(data + bytes([round_index, block]))
             out += digest.digest()
             block += 1
         return int.from_bytes(out[:need], "big") & ((1 << width) - 1)

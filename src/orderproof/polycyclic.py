@@ -6,13 +6,14 @@ This module computes such sequences from the derived series, enumerated by
 coset steps (Dimino's closure, with one enumeration of the whole group per
 oracle), refines them with a descending prime-power exponent schedule so
 that every quotient order is 1 or a known prime, and builds one normal-form
-table per tower: a dict mapping each element of the generated subgroup to
-its unique exponent tuple, with every prefix subgroup a prefix of the
-table's insertion order.  The table doubles as the classical stand-in for
-the decomposition and membership queries that a computationally stronger
-party would answer.  ``compact_tower`` drops the identity and repeated
-positions of a refined tower by code equality alone; the honest 3-message
-prover commits to that tower.  Every result is memoized on the oracle (see
+table per tower: the codes in insertion order, every prefix subgroup a
+prefix of them, and a dict from each code to its index, whose mixed-radix
+digits are the element's exponent tuple (one int per element, however long
+the tower).  The table doubles as the classical stand-in for the
+decomposition and membership queries that a computationally stronger party
+would answer.  ``compact_tower`` drops the identity and repeated positions
+of a refined tower by code equality alone; the honest 3-message prover
+commits to that tower.  Every result is memoized on the oracle (see
 ``groups.memoized``), so it is freed with the oracle.  Every enumeration is
 bounded by the one closure bound ``groups.DEFAULT_CLOSURE_CAP``, so a memo
 key names only what the result depends on: the tower or the primes.
@@ -131,41 +132,40 @@ def prime_factors(n: int) -> tuple[int, ...]:
 class SubgroupChain:
     """One normal-form table for every prefix subgroup of a polycyclic sequence.
 
-    A single dict maps each element of the generated subgroup to its
-    exponent tuple (a_1, ..., a_k), where k is the first level holding the
-    element and each a_i lies below the i-th quotient order; a single list
-    keeps the codes in insertion order.  Level j, the subgroup generated by
-    the first j sequence elements, is the first ``level_order(j)`` codes of
-    that list, and a code lies in level j exactly when its exponent tuple
-    has length at most j.  Element i is appended by the coset step: level i
-    is the union of the cosets level_{i-1}·h_i^a for a below the i-th
-    quotient order.  That union is the subgroup only when each level is
-    normal in the next; a collision between cosets raises ChainError, but
-    callers feeding untrusted sequences must establish normality separately
-    (the 3-message commitment check does).  A quotient order search or a
-    level past ``DEFAULT_CLOSURE_CAP`` elements raises ClosureOverflowError.
+    A list keeps the codes in insertion order and a dict maps each code to
+    its index.  Level j, generated by the first j sequence elements, is the
+    first ``level_order(j)`` codes.  Element i is appended by the coset
+    step: u·h_i^a, for u in level i-1 and a below the quotient order m_i,
+    lands at index a·|level_{i-1}| + index(u).  So an index is the
+    mixed-radix number whose digits are the normal-form exponents, 0 at
+    each position of quotient order 1, and ``decompose`` recomputes them.
+    The cosets form the subgroup only when each level is normal in the
+    next; a collision raises ChainError, but untrusted sequences need a
+    separate normality check (the 3-message commitment check).  A quotient
+    order search or a level past ``DEFAULT_CLOSURE_CAP`` raises
+    ClosureOverflowError.
     """
 
     def __init__(self, G: GroupOracle, elements: Sequence[ElementCode]):
         self.G = G
         self.elements: tuple[ElementCode, ...] = ()
         self.quotient_orders: tuple[int, ...] = ()
-        self._exponents: dict[ElementCode, tuple[int, ...]] = {G.identity: ()}
+        self._index: dict[ElementCode, int] = {G.identity: 0}
         self._codes = [G.identity]
         self._sizes = [1]
-        # Shared zero paddings, so repeated decompositions share their rows.
-        self._zeros: list[tuple[int, ...]] = [()]
+        # The radices of an index: (position, m) where m > 1, lowest first.
+        self._radices: list[tuple[int, int]] = []
         for h in elements:
             self._append(h)
 
     def _append(self, h: ElementCode) -> None:
         """Grow the tower by h: the next level is the union of level·h^a."""
         G = self.G
-        exponents, codes = self._exponents, self._codes
+        index, codes = self._index, self._codes
         size = len(codes)
         # powers[a - 1] = h^a for every a below the quotient order m.
         powers, cur = [], h
-        while cur not in exponents:
+        while cur not in index:
             powers.append(cur)
             cur = G.product(cur, h)
             if len(powers) >= DEFAULT_CLOSURE_CAP:
@@ -178,24 +178,18 @@ class SubgroupChain:
                 f"subgroup level exceeded cap of {DEFAULT_CLOSURE_CAP} elements"
             )
         if m > 1:
-            zeros = self._zeros
-            level = len(self.elements)
-            prefixes = [e + zeros[level - len(e)] for e in exponents.values()]
             # codes[0] is the identity, whose coset element is h^a itself.
-            rows = list(zip(codes[1:size], prefixes[1:]))
-            for a, power in enumerate(powers, 1):
-                exponents[power] = prefixes[0] + (a,)
+            members = codes[1:size]
+            for power in powers:
                 codes.append(power)
-                for u, exps in rows:
-                    v = G.product(u, power)
-                    if v in exponents:
-                        raise ChainError("normal-form collision: sequence is not polycyclic")
-                    exponents[v] = exps + (a,)
-                    codes.append(v)
+                codes.extend([G.product(u, power) for u in members])
+            index.update(zip(codes[size:], range(size, len(codes))))
+            if len(index) != len(codes):
+                raise ChainError("normal-form collision: sequence is not polycyclic")
+            self._radices.append((len(self.elements), m))
         self.elements += (h,)
         self.quotient_orders += (m,)
         self._sizes.append(len(codes))
-        self._zeros.append(self._zeros[-1] + (0,))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -224,16 +218,23 @@ class SubgroupChain:
     def is_member(self, j: int, h: ElementCode) -> bool:
         """Whether h lies in the j-th prefix subgroup."""
         self._check_level(j)
-        exps = self._exponents.get(h)
-        return exps is not None and len(exps) <= j
+        return self._index.get(h, math.inf) < self._sizes[j]
 
     def decompose(self, j: int, h: ElementCode) -> tuple[int, ...] | None:
         """Normal-form exponents (a_1..a_j) of h over level j, or None if not a member."""
         self._check_level(j)
-        exps = self._exponents.get(h)
-        if exps is None or len(exps) > j:
+        k = self._index.get(h, math.inf)
+        if k >= self._sizes[j]:
             return None
-        return exps + self._zeros[j - len(exps)]
+        if not k:
+            return (0,) * j
+        # A member of level j has no digit past position j: k reaches 0 first.
+        row = [0] * j
+        for position, m in self._radices:
+            if not k:
+                break
+            k, row[position] = divmod(k, m)
+        return tuple(row)
 
 
 def get_chain(G: GroupOracle, elements: Sequence[ElementCode]) -> SubgroupChain:

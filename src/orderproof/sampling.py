@@ -96,7 +96,8 @@ def tv_distance_empirical(
 
     Computes (1/2) * sum over the subgroup of |freq(h) - 1/|H||.  Any
     histogram key outside the subgroup is an error: it means the sampler
-    escaped the subgroup it was asked to sample from.
+    escaped the subgroup it was asked to sample from.  ``math.fsum`` is
+    exactly rounded, so the set's hash-dependent order cannot change it.
     """
     total = sum(counts.values())
     if total <= 0:
@@ -108,7 +109,4 @@ def tv_distance_empirical(
             f"{len(escaped)} histogram keys lie outside the subgroup"
         )
     uniform = 1.0 / len(members)
-    deviation = 0.0
-    for code in members:
-        deviation += abs(counts.get(code, 0) / total - uniform)
-    return 0.5 * deviation
+    return 0.5 * math.fsum(abs(counts.get(code, 0) / total - uniform) for code in members)

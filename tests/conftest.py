@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import orderproof
 from orderproof import make_group, parse_group_spec
 from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
 
@@ -24,3 +28,11 @@ def protocol_fixtures():
         (name, get_fixture(name).spec, get_fixture(name).primes)
         for name in PROTOCOL_FIXTURES
     ]
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for a child Python process that imports this orderproof."""
+    src = str(Path(orderproof.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}

@@ -1,3 +1,4 @@
+import hashlib
 import threading
 from random import Random
 
@@ -21,6 +22,7 @@ from orderproof import (
     parse_group_spec,
 )
 from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
+from orderproof.groups import _Relabeling
 
 BACKEND_SPECS = [
     "cyclic:12",
@@ -244,6 +246,34 @@ def test_codes_have_fixed_length(group_for):
     width = (G.encoding_length + 7) // 8
     for code in enumerate_closure(G, G.generators):
         assert isinstance(code, bytes) and len(code) == width
+
+
+#: Feistel outputs pinned when every round hash was keyed afresh: keying
+#: once and copying the keyed state per round must give the same bijection.
+RELABELING_KNOWN_ANSWERS = [
+    (7, 16, (0, 1, 12345, 65535), (14662, 51932, 56023, 59802), (46760, 47792, 38887, 38870)),
+    (2**64 - 1, 5, (0, 31), (24, 27), (28, 11)),
+]
+
+
+@pytest.mark.parametrize("seed,n_bits,xs,forward,backward", RELABELING_KNOWN_ANSWERS)
+def test_relabeling_known_answers(seed, n_bits, xs, forward, backward):
+    relabel = _Relabeling(seed, n_bits)
+    assert tuple(map(relabel.forward, xs)) == forward
+    assert tuple(map(relabel.backward, xs)) == backward
+    assert tuple(map(relabel.backward, forward)) == xs
+
+
+def test_relabeling_known_answer_past_one_hash_block():
+    # 550-bit halves need 69 bytes per round, more than one 64-byte digest,
+    # so every round hashes two blocks.
+    relabel = _Relabeling(3, 1100)
+    xs = (0, 1, 2**1099 + 12345)
+    outputs = [relabel.forward(x) for x in xs] + [relabel.backward(x) for x in xs]
+    digest = hashlib.sha256(b"".join(v.to_bytes(138, "big") for v in outputs)).hexdigest()
+    assert digest == "2ee429fbc154e8885f094f4637e6c7b553f3a825f4c99ecaf7952a91e010d2bf"
+    assert relabel.forward(1) % 2**64 == 8696247750287048700
+    assert [relabel.backward(y) for y in outputs[:3]] == list(xs)
 
 
 def test_scripted_query_accounting():

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -190,6 +192,23 @@ def test_cli_sampler_test_exact_enumerates_once(capsys, monkeypatch):
         "--draws", "100", "--seed", "3",
     ]) == 0
     assert json.loads(capsys.readouterr().out)["tv_distance"] > 0
+
+
+def test_cli_sampler_test_output_is_independent_of_the_hash_seed(child_env):
+    # The TV sum runs over a set of codes, whose order follows the string
+    # hash; the printed distance must not.
+    argv = [
+        sys.executable, "-m", "orderproof.cli", "sampler-test",
+        "--group", "perm:4:(1 2),(1 2 3 4)", "--mode", "exact",
+        "--draws", "500", "--seed", "3",
+    ]
+    outputs = [
+        subprocess.run(argv, env={**child_env, "PYTHONHASHSEED": hash_seed},
+                       capture_output=True, text=True, check=True).stdout
+        for hash_seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["tv_distance"] > 0
 
 
 def test_cli_pcgs(capsys):

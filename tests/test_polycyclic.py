@@ -1,5 +1,7 @@
 import hashlib
 import math
+import subprocess
+import sys
 import time
 
 import pytest
@@ -371,6 +373,74 @@ def test_chain_reuses_the_quotient_order_powers():
     assert [chain.decompose(1, chain.level_element(1, k)) for k in range(12)] == [
         (k,) for k in range(12)
     ]
+
+
+# -- the index-coded table -------------------------------------------------------
+
+TABLE_CASES = [
+    ("cyclic:12", (2, 3)),
+    ("perm:4:(1 2),(1 2 3 4)", (2, 3)),
+    ("perm:4:(1 2 3 4),(1 3)", (2,)),
+]
+
+
+def _digits(chain, j, k):
+    """The mixed-radix digits of index k over the first j positions."""
+    return tuple(k // chain.level_order(p) % m for p, m in enumerate(chain.quotient_orders[:j]))
+
+
+@pytest.mark.parametrize("spec,primes", TABLE_CASES)
+def test_rows_are_the_digits_of_the_index(group_for, spec, primes):
+    G = group_for(spec)
+    chain = get_chain(G, refine_with_primes(G, compute_pcgs(G), primes).elements)
+    trivial = [p for p, m in enumerate(chain.quotient_orders) if m == 1]
+    assert trivial
+    for j in range(len(chain) + 1):
+        for k, h in enumerate(chain.level_elements(j)):
+            row = chain.decompose(j, h)
+            assert row == _digits(chain, j, k)
+            assert all(row[p] == 0 for p in trivial if p < j)
+
+
+@pytest.mark.parametrize("spec,primes", TABLE_CASES)
+def test_refined_and_compacted_tables_agree(group_for, spec, primes):
+    G = group_for(spec)
+    refined = refine_with_primes(G, compute_pcgs(G), primes)
+    tower = compact_tower(G, refined)
+    full, compact = get_chain(G, refined.elements), get_chain(G, tower.elements)
+    assert full.level_elements(len(full)) == compact.level_elements(len(compact))
+    kept = [refined.elements.index(h) for h in tower.elements]
+    for jc in range(len(compact) + 1):
+        j = kept[jc - 1] + 1 if jc else 0
+        assert full.level_order(j) == compact.level_order(jc)
+        for h in compact.level_elements(jc):
+            row = full.decompose(j, h)
+            assert tuple(row[p] for p in kept[:jc]) == compact.decompose(jc, h)
+            assert not any(a for p, a in enumerate(row) if p not in kept)
+
+
+#: C2 wr C2 wr C2 wr C2, order 32768: its paper tower has 960 positions.
+C2_WREATH_4 = ("perm:16:(1 2),(1 3)(2 4),(1 5)(2 6)(3 7)(4 8),"
+               "(1 9)(2 10)(3 11)(4 12)(5 13)(6 14)(7 15)(8 16)@seed=7")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_full_tower_table_memory_is_bounded(child_env):
+    # The table stores one index per element, so the 960-level table costs
+    # what the compacted tower's does.  Storing an exponent tuple per
+    # element peaked at about 400 MB on this group.
+    script = (
+        "import resource, sys\n"
+        "from orderproof import make_group, make_prover, parse_group_spec, run_protocol_2msg\n"
+        "G = make_group(parse_group_spec(sys.argv[1]))\n"
+        "outcome, _ = run_protocol_2msg(G, (2,), lambda g, rng: make_prover('honest', g, rng), 1)\n"
+        "print(outcome.order, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script, C2_WREATH_4], env=child_env,
+                            capture_output=True, text=True, check=True)
+    order, max_rss_kib = map(int, result.stdout.split())
+    assert order == 32768
+    assert max_rss_kib < 150 * 1024
 
 
 #: blake2b-128 digests of the concatenated element codes of the pcgs and of

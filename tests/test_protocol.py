@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import json
 import math
 import time
 import weakref
@@ -38,6 +39,7 @@ from orderproof import (
 )
 from orderproof.groups import QueryMeter
 from orderproof.protocol import (
+    ROWS_PER_CALL,
     VerifierState,
     challenge_from_wire,
     challenge_to_wire,
@@ -754,6 +756,17 @@ _near_bodies = st.builds(
     st.fixed_dictionaries({k: v | _json for k, v in _fields.items()}),
     st.sets(st.sampled_from(sorted(_fields)), max_size=2),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_json | _near_bodies | st.sampled_from([
+    {"kind": "response", "bits": [0] * 300, "exponents": [[i % 3] * (i % 5) for i in range(300)]},
+    {"b": [[0]] + list(range(ROWS_PER_CALL)), "a": [[[1], {"y": 2, "x": [True, None]}]] * 300},
+]))
+def test_canonical_bytes_are_the_compact_sorted_json(value):
+    # Encoding long lists of rows one row at a time must not change a byte.
+    expected = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+    assert protocol_mod.canonical_json_bytes(value) == expected
 
 
 @settings(max_examples=300, deadline=None)

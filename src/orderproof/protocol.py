@@ -12,6 +12,10 @@ verifier checks the commitment with deterministic equality tests and runs
 one round per committed element, compacting nothing it receives; the
 remaining rounds proceed as in the 2-message variant.
 
+Both variants share one verifier path: every exponent a prover sends for
+position j, in a commitment or a response row, must lie in [0, r_j), with
+r_j the prime attached there (``_row_fault``), as normal-form digits do.
+
 Every execution is seeded and reproducible: transcripts carry the full
 message log in a canonical JSON form, so identical seeds yield
 byte-identical transcripts.  Per-execution query counters cover the
@@ -145,17 +149,27 @@ class Transcript:
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-#: Rows per encoder call when a dict value is a longer list of rows.
+#: Rows per encoder call when a list of rows is longer.
 ROWS_PER_CALL = 32
 
 
-def _is_rows(value) -> bool:
-    return type(value) is list and len(value) > ROWS_PER_CALL and type(value[0]) is list
+def _descend(value) -> bool:
+    """Whether ``_encode_grouped`` splits ``value``: a dict, a list of dicts, or long rows."""
+    return type(value) is dict or type(value) is list and len(value) > 0 and (
+        type(value[0]) is dict or type(value[0]) is list and len(value) > ROWS_PER_CALL)
 
 
-def _encode_rows(rows: list) -> str:
-    n = ROWS_PER_CALL
-    return "[" + ",".join(_encode(rows[i:i + n])[1:-1] for i in range(0, len(rows), n)) + "]"
+def _encode_grouped(obj) -> str:
+    """``_encode(obj)``, descending into dicts and lists of dicts to group rows."""
+    if type(obj) is dict and any(map(_descend, obj.values())) and all(type(k) is str for k in obj):
+        fields = (_encode(k) + ":" + _encode_grouped(v) for k, v in sorted(obj.items()))
+        return "{" + ",".join(fields) + "}"
+    if type(obj) is list and obj and type(obj[0]) is dict:
+        return "[" + ",".join(map(_encode_grouped, obj)) + "]"
+    if type(obj) is list and len(obj) > ROWS_PER_CALL and type(obj[0]) is list:
+        n = ROWS_PER_CALL
+        return "[" + ",".join(_encode(obj[i:i + n])[1:-1] for i in range(0, len(obj), n)) + "]"
+    return _encode(obj)
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -164,15 +178,15 @@ def canonical_json_bytes(obj) -> bytes:
     CPython 3.11's C encoder keeps a string for every number it writes
     until it has 10^5 of them, and a 2-message response over a long tower
     holds about that many.  Mapping fresh memory for those strings made
-    scale-2msg trials about 12% slower (2-core VM), so a dict value that is
-    a list of more than ``ROWS_PER_CALL`` rows is encoded that many rows at
-    a time.
+    scale-2msg trials about 12% slower (2-core VM), so a list of more than
+    ``ROWS_PER_CALL`` rows is encoded that many rows at a time, also where
+    it sits inside a message inside a transcript.  A value nested too deep
+    for that descent, or holding a cycle, gets the C encoder's own answer.
     """
-    if type(obj) is dict and any(map(_is_rows, obj.values())) and all(type(k) is str for k in obj):
-        fields = (_encode(k) + ":" + (_encode_rows(v) if _is_rows(v) else _encode(v))
-                  for k, v in sorted(obj.items()))
-        return ("{" + ",".join(fields) + "}").encode()
-    return _encode(obj).encode()
+    try:
+        return _encode_grouped(obj).encode()
+    except RecursionError:
+        return _encode(obj).encode()
 
 
 def outcome_to_wire(outcome: Outcome) -> dict:
@@ -217,11 +231,31 @@ def _wire_codes(value, what: str) -> tuple[ElementCode, ...]:
     return tuple(codes)
 
 
+def _row_fault(row, length: int | None = None, primes: Sequence[int] = ()) -> str | None:
+    """What is wrong with an integer row, or None: the one row check.
+
+    A row is a tuple or list of ints; bools are refused and IntEnum members
+    accepted.  A verifier row also has the expected ``length`` and holds
+    0 <= row[j] < primes[j], the prime attached to position j.  Builtins
+    check the whole row; only a row holding a type other than ``int`` falls
+    back to a per-element check.
+    """
+    if not isinstance(row, (tuple, list)):
+        return "not a sequence"
+    if length is not None and len(row) != length:
+        return "wrong length"
+    if set(map(type, row)) - {int} and any(not isinstance(a, int) or isinstance(a, bool) for a in row):
+        return "non-integer entry"
+    if primes and row and (min(row) < 0 or not all(map(operator.lt, row, primes))):
+        return "entry outside [0, r_j)"
+    return None
+
+
 def _wire_ints(value, what: str) -> tuple[int, ...]:
-    row = tuple(_wire_list(value, what))
-    if any(not isinstance(a, int) or isinstance(a, bool) for a in row):
+    row = _wire_list(value, what)
+    if _row_fault(row) is not None:
         raise WireError(f"{what} must hold integers")
-    return row
+    return tuple(row)
 
 
 def _wire_rows(value, what: str) -> tuple[tuple[int, ...], ...]:
@@ -295,37 +329,31 @@ class VerifierState:
 
     G: GroupOracle
     elements: tuple[ElementCode, ...]
-    primes: tuple[int, ...]
+    primes: tuple[int, ...]  # r_j, attached to position j: the exponent bound there
     chain: SubgroupChain
     secret_bits: tuple[int, ...]
-    masks: tuple[ElementCode, ...]
-    reduce_exponents: bool  # 2-message: quotient orders known to the verifier
-
-
-def _draw_subgroup_element(chain: SubgroupChain, level: int, rng: Random) -> ElementCode:
-    """Uniform element of a prefix subgroup, from the tower's normal-form table.
-
-    The amortized warm-up builds that table for every level, so a draw makes
-    no oracle query: the simulator's stand-in for the paper's sampler.
-    """
-    return chain.level_element(level, rng.randrange(chain.level_order(level)))
 
 
 def _issue_challenge(
     G: GroupOracle,
     chain: SubgroupChain,
     elements: Sequence[ElementCode],
+    primes: Sequence[int],
     rng: Random,
-) -> tuple[tuple[int, ...], tuple[ElementCode, ...], tuple[ElementCode, ...]]:
-    """Draw per-round secret bits and masks; return (bits, masks, masked)."""
-    bits, masks, masked = [], [], []
-    for i in range(1, len(elements) + 1):
+) -> tuple[VerifierState, tuple[ElementCode, ...]]:
+    """Draw per-round secret bits and masks; return the state and the masked elements.
+
+    Round i's mask is a uniform element of level i-1 from the tower's
+    normal-form table, which the amortized warm-up builds, so a draw makes
+    no oracle query: the simulator's stand-in for the paper's sampler.
+    """
+    bits, masked = [], []
+    for i, h in enumerate(elements):
         s = rng.getrandbits(1)
-        x = _draw_subgroup_element(chain, i - 1, rng)
+        x = chain.level_element(i, rng.randrange(chain.level_order(i)))
         bits.append(s)
-        masks.append(x)
-        masked.append(G.product(G.power(elements[i - 1], s), x))
-    return tuple(bits), tuple(masks), tuple(masked)
+        masked.append(G.product(G.power(h, s), x))
+    return VerifierState(G, tuple(elements), tuple(primes), chain, tuple(bits)), tuple(masked)
 
 
 def verifier_setup_2msg(
@@ -338,19 +366,10 @@ def verifier_setup_2msg(
     Raises NotSolvableError or RefinementError when the tower cannot be
     built; runners convert that into an abort before anything is sent.
     """
-    rng = as_rng(seed_or_rng)
     refined = refine_with_primes(G, compute_pcgs(G), primes)
     chain = get_chain(G, refined.elements)
-    bits, masks, masked = _issue_challenge(G, chain, refined.elements, rng)
-    state = VerifierState(
-        G=G,
-        elements=refined.elements,
-        primes=refined.primes or (),
-        chain=chain,
-        secret_bits=bits,
-        masks=masks,
-        reduce_exponents=True,
-    )
+    state, masked = _issue_challenge(
+        G, chain, refined.elements, refined.primes or (), as_rng(seed_or_rng))
     return state, Challenge(masked=masked, elements=refined.elements)
 
 
@@ -362,14 +381,15 @@ def verifier_check_commitment(
     """Run the commitment checks; return an abort reason or None on pass.
 
     Shape validation first (every field, row and block a tuple or list, the
-    tower length guardrail, lengths, integer ranges, primes bounded by 2^n
-    before primality), then the three families of equality checks: each
-    group generator decomposes over the full tower, each element's claimed
-    prime power falls back into its prefix (with the first element's power
-    equal to the identity), and each conjugate of an earlier element falls
-    back into the prefix.  Passing certifies the committed sequence is a
-    polycyclic tower for the whole group with quotient orders in {1, r_i}.
-    A malformed commitment of any shape returns a reason; it never raises.
+    tower length guardrail, lengths, primes bounded by 2^n before
+    primality, every row entry at position j in [0, r_j) by ``_row_fault``),
+    then the three families of equality checks: each group generator
+    decomposes over the full tower, each element's claimed prime power falls
+    back into its prefix (with the first element's power equal to the
+    identity), and each conjugate of an earlier element falls back into the
+    prefix.  Passing certifies the committed sequence is a polycyclic tower
+    for the whole group with quotient orders in {1, r_i}.  A malformed
+    commitment of any shape returns a reason; it never raises.
     """
     c = commitment
     fields = (c.elements, c.primes, c.generator_exponents, c.power_exponents,
@@ -378,7 +398,6 @@ def verifier_check_commitment(
         return "commitment fields must be sequences"
     t = len(commitment.elements)
     n = G.encoding_length
-    exponent_cap = 1 << n
     max_length = COMMITMENT_LENGTH_FACTOR * n * max(1, len(generators)) * max(
         1, math.ceil(math.log2(DEFAULT_CLOSURE_CAP))
     )
@@ -391,36 +410,27 @@ def verifier_check_commitment(
     # Quotient orders divide |G| <= 2^n, so a larger "prime" is rejected
     # before the primality test, which is bounded in time only below 2^81.
     for r in commitment.primes:
-        if not isinstance(r, int) or isinstance(r, bool) or r > exponent_cap:
+        if not isinstance(r, int) or isinstance(r, bool) or r > 1 << n:
             return f"committed value {r!r} is not a prime up to 2^n"
         if not is_prime(r):
             return f"committed value {r!r} is not a prime"
 
-    def bad_row(row, expected_len) -> bool:
-        return not isinstance(row, (tuple, list)) or len(row) != expected_len or any(
-            not isinstance(a, int) or isinstance(a, bool) or a < 0 or a > exponent_cap
-            for a in row
-        )
-
-    if len(commitment.generator_exponents) != len(generators):
+    if len(c.generator_exponents) != len(generators):
         return "generator decomposition table has the wrong number of rows"
-    for row in commitment.generator_exponents:
-        if bad_row(row, t):
-            return "malformed generator decomposition row"
-    if len(commitment.power_exponents) != max(0, t - 1):
+    if len(c.power_exponents) != max(0, t - 1):
         return "power decomposition table has the wrong number of rows"
-    for i, row in enumerate(commitment.power_exponents, start=2):
-        if bad_row(row, i - 1):
-            return "malformed power decomposition row"
-    if len(commitment.conjugate_exponents) != max(0, t - 1):
+    if len(c.conjugate_exponents) != max(0, t - 1):
         return "conjugate decomposition table has the wrong number of blocks"
-    for i, block in enumerate(commitment.conjugate_exponents, start=2):
-        if (
-            not isinstance(block, (tuple, list))
-            or len(block) != i - 1
-            or any(bad_row(row, i - 1) for row in block)
-        ):
-            return "malformed conjugate decomposition block"
+    blocks = list(enumerate(c.conjugate_exponents, start=2))
+    if any(not isinstance(block, (tuple, list)) or len(block) != i - 1 for i, block in blocks):
+        return "malformed conjugate decomposition block"
+    rows = [("generator", row, t) for row in c.generator_exponents]
+    rows += [("power", row, i - 1) for i, row in enumerate(c.power_exponents, start=2)]
+    rows += [("conjugate", row, i - 1) for i, block in blocks for row in block]
+    for table, row, k in rows:
+        fault = _row_fault(row, k, c.primes)
+        if fault is not None:
+            return f"malformed {table} decomposition row: {fault}"
 
     h = commitment.elements
     try:
@@ -451,12 +461,9 @@ def verifier_finalize(state: VerifierState, response: Response) -> Outcome:
     Per round: a matching decomposition of the round element fixes the
     factor 1; otherwise a bit agreeing with the verifier's secret fixes the
     factor r_i; otherwise the protocol aborts.  Malformed responses (wrong
-    shapes, non-integers, out-of-policy exponents) abort as well.  In the
-    2-message protocol exponents are reduced modulo the verifier's known
-    quotient orders; in the 3-message protocol they must lie in [0, 2^n].
-
-    Rows are checked by builtins over the whole row; a row holding a type
-    other than ``int`` falls back to a per-element check that refuses bools.
+    shapes, non-integers, an exponent at position j outside [0, r_j)) abort
+    as well, in both protocols alike: ``_row_fault`` checks each row against
+    the primes the verifier holds, so no exponent is reduced.
     """
     G = state.G
     t = len(state.elements)
@@ -465,22 +472,15 @@ def verifier_finalize(state: VerifierState, response: Response) -> Outcome:
         return Outcome.abort("response bits and exponents must be sequences")
     if len(bits) != t or len(exponents) != t:
         return Outcome.abort("response shape does not match the round count")
-    exponent_cap = 1 << G.encoding_length
     factors = []
     for i in range(1, t + 1):
         bit = bits[i - 1]
         row = exponents[i - 1]
         if not isinstance(bit, int) or isinstance(bit, bool) or bit not in (0, 1):
             return Outcome.abort(f"round {i}: bit is not 0 or 1")
-        if not isinstance(row, (tuple, list)) or len(row) != i - 1:
-            return Outcome.abort(f"round {i}: exponent row has wrong length")
-        types = set(map(type, row))
-        if types - {int} and any(not isinstance(a, int) or isinstance(a, bool) for a in row):
-            return Outcome.abort(f"round {i}: non-integer exponent")
-        if state.reduce_exponents:
-            row = tuple(map(operator.mod, row, state.chain.quotient_orders))
-        elif row and (min(row) < 0 or max(row) > exponent_cap):
-            return Outcome.abort(f"round {i}: exponent outside [0, 2^n]")
+        fault = _row_fault(row, i - 1, state.primes)
+        if fault is not None:
+            return Outcome.abort(f"round {i}: malformed exponent row: {fault}")
         word = eval_word(G, state.elements[: i - 1], row)
         if word == state.elements[i - 1]:
             factors.append(1)
@@ -495,6 +495,9 @@ def verifier_finalize(state: VerifierState, response: Response) -> Outcome:
 # Execution runners
 # ---------------------------------------------------------------------------
 
+_UNENCODABLE = (AttributeError, TypeError, ValueError, RecursionError)
+
+
 def _log(transcript: Transcript, direction: str, kind: str, body: dict) -> None:
     transcript.messages.append(
         TranscriptMessage(direction, kind, body, len(canonical_json_bytes(body)))
@@ -508,6 +511,22 @@ def _finish(
     transcript.outcome = outcome
     transcript.queries = meter.snapshot()
     return outcome, transcript
+
+
+def _rounds(
+    transcript: Transcript, meter: QueryMeter, state: VerifierState, challenge: Challenge,
+    prover: HonestProver,
+) -> tuple[Outcome, Transcript]:
+    """Log the challenge, respond, log the response (abort if it cannot be), finalize."""
+    _log(transcript, "V->P", "challenge", challenge_to_wire(challenge))
+    response = prover.respond(state.elements, challenge.masked)
+    try:
+        _log(transcript, "P->V", "response", response_to_wire(response))
+    except _UNENCODABLE as exc:
+        return _finish(transcript, meter, Outcome.abort(f"response cannot be encoded: {exc}"))
+    with meter.measuring():
+        outcome = verifier_finalize(state, response)
+    return _finish(transcript, meter, outcome)
 
 
 def run_protocol_2msg(
@@ -533,15 +552,7 @@ def run_protocol_2msg(
 
     with meter.measuring():
         state, challenge = verifier_setup_2msg(G, primes, rng_verifier)
-    _log(transcript, "V->P", "challenge", challenge_to_wire(challenge))
-
-    prover = prover_factory(G, rng_prover)
-    response = prover.respond(challenge.elements, challenge.masked)
-    _log(transcript, "P->V", "response", response_to_wire(response))
-
-    with meter.measuring():
-        outcome = verifier_finalize(state, response)
-    return _finish(transcript, meter, outcome)
+    return _rounds(transcript, meter, state, challenge, prover_factory(G, rng_prover))
 
 
 def run_protocol_3msg(
@@ -566,7 +577,7 @@ def run_protocol_3msg(
         return _finish(transcript, meter, Outcome.abort(f"prover gave up: {exc}"))
     try:
         _log(transcript, "P->V", "commitment", commitment_to_wire(commitment))
-    except (AttributeError, TypeError, ValueError) as exc:
+    except _UNENCODABLE as exc:
         return _finish(transcript, meter, Outcome.abort(f"commitment cannot be encoded: {exc}"))
 
     with meter.measuring():
@@ -583,25 +594,9 @@ def run_protocol_3msg(
         return _finish(transcript, meter, Outcome.abort(f"committed tower is intractable: {exc}"))
 
     with meter.measuring():
-        bits, masks, masked = _issue_challenge(G, chain, commitment.elements, rng_verifier)
-    state = VerifierState(
-        G=G,
-        elements=commitment.elements,
-        primes=commitment.primes,
-        chain=chain,
-        secret_bits=bits,
-        masks=masks,
-        reduce_exponents=False,
-    )
-    challenge = Challenge(masked=masked, elements=None)
-    _log(transcript, "V->P", "challenge", challenge_to_wire(challenge))
-
-    response = prover.respond(commitment.elements, challenge.masked)
-    _log(transcript, "P->V", "response", response_to_wire(response))
-
-    with meter.measuring():
-        outcome = verifier_finalize(state, response)
-    return _finish(transcript, meter, outcome)
+        state, masked = _issue_challenge(
+            G, chain, commitment.elements, commitment.primes, rng_verifier)
+    return _rounds(transcript, meter, state, Challenge(masked=masked), prover)
 
 
 def unanimous_outcome(outcomes: Sequence[Outcome]) -> Outcome:

@@ -270,12 +270,12 @@ class RandomBitsProver(HonestProver):
 class GarbageCommitmentProver(HonestProver):
     """Honest play except one committed exponent entry is bumped by one.
 
-    Bumping an exponent changes the evaluated word exactly when the base
-    element in that column is not the identity, and the honest (compacted)
-    tower holds no identity, so the deterministic commitment checks catch
-    every tampered entry before any challenge is issued.  Degenerates to
-    honest play when the commitment has no exponent entries (the trivial
-    group).
+    A bump onto the attached prime r_j fails the range check [0, r_j) with
+    no oracle query.  Any other bump changes the evaluated word, since the
+    honest (compacted) tower holds no identity, so an equality check fails.
+    Either way the commitment is refused before any challenge is issued.
+    Degenerates to honest play when the commitment has no exponent entries
+    (the trivial group).
     """
 
     name = "garbage_commitment"

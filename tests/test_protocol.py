@@ -48,7 +48,7 @@ from orderproof.protocol import (
     response_from_wire,
     response_to_wire,
 )
-from orderproof.prover import Commitment
+from orderproof.prover import PROVERS, Commitment
 
 
 S4 = "perm:4:(1 2),(1 2 3 4)"
@@ -67,15 +67,25 @@ def test_setup_trivial_group_yields_order_one(group_for):
     assert verifier_finalize(state, Response((), ())) == Outcome.of(1)
 
 
+def _masks(state, challenge):
+    """Each round's mask, recovered as (h_i^{s_i})^-1 * masked_i."""
+    G = state.G
+    return [
+        G.product(G.inverse(G.power(h, s)), masked)
+        for h, s, masked in zip(state.elements, state.secret_bits, challenge.masked)
+    ]
+
+
 def test_setup_masked_elements_lie_in_their_levels(group_for):
     G = group_for("cyclic:12")
     state, challenge = verifier_setup_2msg(G, (2, 3), 4)
     chain = state.chain
+    masks = _masks(state, challenge)
     for i, masked in enumerate(challenge.masked, start=1):
         assert chain.is_member(i, masked)
         if state.secret_bits[i - 1] == 0:
             assert chain.is_member(i - 1, masked)
-        assert state.masks[i - 1] in chain.level_elements(i - 1)
+        assert masks[i - 1] in chain.level_elements(i - 1)
 
 
 def test_challenge_carries_tower_in_2msg_only(group_for):
@@ -184,6 +194,25 @@ def test_non_sequence_commitment_aborts(group_for, shape):
     assert isinstance(verifier_check_commitment(G, G.generators, tampered), str)
 
 
+def test_commitment_entry_at_its_prime_aborts_without_queries(group_for):
+    # The last generator row's last entry sits at position t, whose attached
+    # prime is r_t: an entry equal to it is refused before any oracle query.
+    G = group_for(S4)
+    c = honest_commitment(G)
+    rows = list(c.generator_exponents)
+    rows[-1] = rows[-1][:-1] + (c.primes[-1],)
+    tampered = dataclasses.replace(c, generator_exponents=tuple(rows))
+    meter = QueryMeter()
+    with meter.measuring():
+        reason = verifier_check_commitment(G, G.generators, tampered)
+    assert reason == "malformed generator decomposition row: entry outside [0, r_j)"
+    assert meter.snapshot().total == 0
+    outcome, transcript = run_protocol_3msg(
+        G, lambda g, rng: _ReplacingProver(g, rng, generator_exponents=tuple(rows)), 0)
+    assert outcome.reason == f"commitment check failed: {reason}"
+    assert transcript.queries.total == 0
+
+
 def test_shape_mismatch_aborts(group_for):
     G = group_for("cyclic:12")
     c = _hand_commitment(G)
@@ -201,8 +230,7 @@ def _hand_state(G):
     elements = (G.power(g, 6), G.power(g, 3), g)
     chain = get_chain(G, elements)
     return VerifierState(
-        G=G, elements=elements, primes=(2, 2, 3), chain=chain,
-        secret_bits=(1, 0, 1), masks=(G.identity,) * 3, reduce_exponents=True,
+        G=G, elements=elements, primes=(2, 2, 3), chain=chain, secret_bits=(1, 0, 1),
     )
 
 
@@ -212,8 +240,7 @@ def test_finalize_all_matching_rows_gives_one(group_for):
     G = group_for("cyclic:12")
     elements = (G.identity, G.identity)
     state = VerifierState(
-        G=G, elements=elements, primes=(2, 2), chain=get_chain(G, elements),
-        secret_bits=(0, 1), masks=(G.identity,) * 2, reduce_exponents=True,
+        G=G, elements=elements, primes=(2, 2), chain=get_chain(G, elements), secret_bits=(0, 1),
     )
     response = Response(bits=(1, 0), exponents=((), (0,)))
     assert verifier_finalize(state, response) == Outcome.of(1)
@@ -286,28 +313,22 @@ def test_finalize_aborts_on_non_sequence_fields(group_for, shape):
     state, _ = verifier_setup_2msg(G, (2, 3), 0)
     response = _malformed_response(shape, len(state.elements))
     assert verifier_finalize(state, response).aborted
-    state.reduce_exponents = False
-    assert verifier_finalize(state, response).aborted
 
 
-def test_finalize_2msg_reduces_exponents(group_for):
+def test_finalize_refuses_exponents_outside_the_prime_range(group_for):
+    # Position j takes exponents in [0, r_j): with primes (2, 2, 3), round 3's
+    # row (1, 1) is in range and evaluates to g^9, not g.  The row (3, 2) is
+    # refused, not reduced modulo the quotient orders (2, 2); so are r_j
+    # itself, a negative entry and one above 2^n.
     G = group_for("cyclic:12")
     state = _hand_state(G)
-    # Round 3 exponents reduce mod (2, 2); 6*3 + 3*2 == 6*1 + 3*0 mod 12.
-    response = Response(bits=(1, 0, 1), exponents=((), (0,), (3, 2)))
-    reduced = Response(bits=(1, 0, 1), exponents=((), (0,), (1, 0)))
-    assert verifier_finalize(state, response) == verifier_finalize(state, reduced)
-
-
-def test_finalize_3msg_exponent_cap(group_for):
-    G = group_for("cyclic:12")
-    state = _hand_state(G)
-    state.reduce_exponents = False
+    in_range = Response(bits=(1, 0, 1), exponents=((), (1,), (1, 1)))
+    assert verifier_finalize(state, in_range) == Outcome.of(12)
     cap = 1 << G.encoding_length
-    over = Response(bits=(1, 0, 1), exponents=((), (0,), (cap + 1, 0)))
-    assert "2^n" in verifier_finalize(state, over).reason
-    negative = Response(bits=(1, 0, 1), exponents=((), (-1,), (0, 0)))
-    assert verifier_finalize(state, negative).aborted
+    for rows in (((), (0,), (3, 2)), ((), (2,), (0, 0)), ((), (0,), (0, 2)),
+                 ((), (-1,), (0, 0)), ((), (0,), (cap + 1, 0))):
+        outcome = verifier_finalize(state, Response(bits=(1, 0, 1), exponents=rows))
+        assert outcome.aborted and "[0, r_j)" in outcome.reason
 
 
 def _reference_eval_word(G, bases, exps):
@@ -329,21 +350,20 @@ def _reference_finalize(state, response):
         return Outcome.abort("response bits and exponents must be sequences")
     if len(bits) != t or len(exponents) != t:
         return Outcome.abort("response shape does not match the round count")
-    exponent_cap = 1 << G.encoding_length
     factors = []
     for i in range(1, t + 1):
         bit = bits[i - 1]
         row = exponents[i - 1]
         if not isinstance(bit, int) or isinstance(bit, bool) or bit not in (0, 1):
             return Outcome.abort(f"round {i}: bit is not 0 or 1")
-        if not isinstance(row, (tuple, list)) or len(row) != i - 1:
-            return Outcome.abort(f"round {i}: exponent row has wrong length")
+        if not isinstance(row, (tuple, list)):
+            return Outcome.abort(f"round {i}: malformed exponent row: not a sequence")
+        if len(row) != i - 1:
+            return Outcome.abort(f"round {i}: malformed exponent row: wrong length")
         if any(not isinstance(a, int) or isinstance(a, bool) for a in row):
-            return Outcome.abort(f"round {i}: non-integer exponent")
-        if state.reduce_exponents:
-            row = tuple(a % state.chain.quotient_orders[j] for j, a in enumerate(row))
-        elif any(a < 0 or a > exponent_cap for a in row):
-            return Outcome.abort(f"round {i}: exponent outside [0, 2^n]")
+            return Outcome.abort(f"round {i}: malformed exponent row: non-integer entry")
+        if any(a < 0 or a >= state.primes[j] for j, a in enumerate(row)):
+            return Outcome.abort(f"round {i}: malformed exponent row: entry outside [0, r_j)")
         word = _reference_eval_word(G, state.elements[: i - 1], row)
         if word == state.elements[i - 1]:
             factors.append(1)
@@ -361,42 +381,47 @@ class _Small(IntEnum):
 
 @functools.cache
 def _finalize_cases():
-    """(state, honest response) on the cyclic:12 hand tower and the S4 2-message tower."""
+    """(state, honest response) on the cyclic:12 hand tower and S4's 2- and 3-message towers."""
     G = make_group(parse_group_spec("cyclic:12"))
     cases = [(_hand_state(G), Response(bits=(1, 0, 1), exponents=((), (0,), (0, 0))))]
     G = make_group(parse_group_spec(S4))
-    state, challenge = verifier_setup_2msg(G, (2, 3), 0)
-    response = make_prover("honest", G, Random(0)).respond(challenge.elements, challenge.masked)
-    cases.append((state, response))
-    return tuple(
-        (dataclasses.replace(state, reduce_exponents=reduce), response)
-        for state, response in cases
-        for reduce in (True, False)
-    )
+    state_2msg, challenge = verifier_setup_2msg(G, (2, 3), 0)
+    c = honest_commitment(G)
+    state_3msg, masked = protocol_mod._issue_challenge(
+        G, get_chain(G, c.elements), c.elements, c.primes, Random(0))
+    for state, masked in ((state_2msg, challenge.masked), (state_3msg, masked)):
+        response = make_prover("honest", G, Random(0)).respond(state.elements, masked)
+        cases.append((state, response))
+    return tuple(cases)
 
 
 @st.composite
 def _edited_response(draw, state, honest):
     """An honest response with a few exponents, bits or row lengths changed."""
     cap = 1 << state.G.encoding_length
-    exponent = st.one_of(
-        st.integers(0, 3),
-        st.integers(max_value=-1),
-        st.sampled_from([cap, cap + 1]),
-        st.integers(min_value=cap + 1),
-        st.sampled_from([2**200, -(2**200)]),
-        st.sampled_from(_Small),
-        st.booleans(),
-        st.floats(allow_nan=False),
-        st.none(),
-        st.text(max_size=2),
-    )
+
+    def exponent(r):
+        return st.one_of(
+            st.integers(0, 3),
+            st.sampled_from([r - 1, r]),
+            st.integers(max_value=-1),
+            st.sampled_from([cap, cap + 1]),
+            st.integers(min_value=cap + 1),
+            st.sampled_from([2**200, -(2**200)]),
+            st.sampled_from(_Small),
+            st.booleans(),
+            st.floats(allow_nan=False),
+            st.none(),
+            st.text(max_size=2),
+        )
+
     bits, rows = list(honest.bits), [list(row) for row in honest.exponents]
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(rows) - 1))
         edit = draw(st.sampled_from(["exponent", "exponent", "bit", "length"]))
         if edit == "exponent" and rows[i]:
-            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(exponent)
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = draw(exponent(state.primes[j]))
         elif edit == "bit":
             bits[i] = draw(st.sampled_from([0, 1, 2, True, 1.0, None]))
         elif edit == "length":
@@ -406,10 +431,10 @@ def _edited_response(draw, state, honest):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), case=st.integers(0, 3))
+@given(data=st.data(), case=st.integers(0, 2))
 def test_finalize_matches_per_element_reference(data, case):
     # Same Outcome, reason string included, and the same oracle queries, on
-    # both towers with reduce_exponents True and False.
+    # the hand tower and on S4's 2-message and 3-message towers.
     state, honest = _finalize_cases()[case]
     response = data.draw(_edited_response(state, honest))
     outcomes = []
@@ -429,6 +454,26 @@ def test_run_2msg_honest_on_fixtures(group_for, protocol_fixtures):
         assert outcome == Outcome.of(group_order(G))
         assert [m.kind for m in transcript.messages] == ["challenge", "response"]
         assert [m.direction for m in transcript.messages] == ["V->P", "P->V"]
+
+
+@pytest.mark.parametrize("protocol", ["2msg", "3msg"])
+def test_in_repo_provers_obey_the_exponent_rule(group_for, protocol_fixtures, protocol):
+    # Every row an in-repo prover sends holds normal-form digits, below the
+    # attached prime.  The one exception is the garbage commitment's bumped
+    # entry, which the commitment check refuses, by range or by equality.
+    for _, spec, primes in protocol_fixtures:
+        G = group_for(spec)
+        for name in PROVERS:
+            for seed in range(3):
+                if protocol == "2msg":
+                    outcome, _ = run_protocol_2msg(G, primes, _factory(name), seed)
+                else:
+                    outcome, _ = run_protocol_3msg(G, _factory(name), seed)
+                reason = outcome.reason or ""
+                if name == "garbage_commitment" and protocol == "3msg" and group_order(G) > 1:
+                    assert reason.startswith("commitment check failed"), (spec, seed, reason)
+                else:
+                    assert "[0, r_j)" not in reason, (spec, name, seed, reason)
 
 
 def test_run_3msg_honest_s4(group_for):
@@ -457,8 +502,8 @@ def test_runner_aborts_when_the_tower_cannot_be_built(group_for):
     assert transcript.messages == [] and transcript.queries.total == 0
 
 
-class _UnencodableProver(HonestProver):
-    """Commits to the honest commitment with one field the wire codec cannot encode."""
+class _ReplacingProver(HonestProver):
+    """Commits to the honest commitment with the given fields replaced."""
 
     def __init__(self, G, rng, **fields):
         super().__init__(G, rng)
@@ -475,10 +520,62 @@ class _UnencodableProver(HonestProver):
 def test_unencodable_commitment_aborts_before_logging(group_for, fields):
     G = group_for(S4)
     outcome, transcript = run_protocol_3msg(
-        G, lambda g, rng: _UnencodableProver(g, rng, **fields), 0
+        G, lambda g, rng: _ReplacingProver(g, rng, **fields), 0
     )
     assert outcome.reason.startswith("commitment cannot be encoded")
     assert transcript.messages == [] and transcript.queries.total == 0
+
+
+_leaf = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2)
+         | st.sampled_from(_Small) | st.builds(object) | st.frozensets(st.integers(), max_size=2))
+_anything = st.recursive(
+    _leaf,
+    lambda children: st.lists(children, max_size=3) | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=2) | st.integers(), children, max_size=2),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _any_response(draw, honest):
+    """Any Response-shaped value: free fields, or an honest one with one part replaced."""
+    bits, rows = list(honest.bits), [list(row) for row in honest.exponents]
+    part = draw(st.sampled_from(["fields", "bit", "row", "entry"]))
+    if part == "fields":
+        return Response(draw(_anything), draw(_anything))
+    i = draw(st.integers(0, len(rows) - 1))
+    if part == "bit":
+        bits[i] = draw(_anything)
+    elif part == "row" or not rows[i]:
+        rows[i] = draw(_anything)
+    else:
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_anything)
+    return Response(tuple(bits), tuple(rows))
+
+
+@functools.cache
+def _cyclic12():
+    return make_group(parse_group_spec("cyclic:12"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), protocol=st.sampled_from(["2msg", "3msg"]))
+def test_runners_return_an_outcome_for_any_response(data, protocol):
+    # A response the log cannot encode aborts before it is logged or evaluated.
+    class Stub(HonestProver):
+        def respond(self, elements, masked):
+            return data.draw(_any_response(super().respond(elements, masked)))
+
+    G = _cyclic12()
+    if protocol == "2msg":
+        outcome, transcript = run_protocol_2msg(G, (2, 3), Stub, 0)
+    else:
+        outcome, transcript = run_protocol_3msg(G, Stub, 0)
+    assert isinstance(outcome, Outcome)
+    if outcome.aborted and outcome.reason.startswith("response cannot be encoded"):
+        assert transcript.messages[-1].kind == "challenge"
+    else:
+        assert transcript.messages[-1].kind == "response"
 
 
 def test_transcript_sizes_match_canonical_bodies(group_for):
@@ -539,7 +636,7 @@ def test_large_levels_draw_masks_from_the_table(group_for):
     state, challenge = verifier_setup_2msg(G, (2,), 5)
     rounds = len(challenge.masked)
     assert max(state.chain.level_order(i - 1) for i in range(1, rounds + 1)) > 10_000
-    for i, mask in enumerate(state.masks, start=1):
+    for i, mask in enumerate(_masks(state, challenge), start=1):
         assert state.chain.is_member(i - 1, mask)
     outcome, transcript = run_protocol_2msg(G, (2,), _factory("honest"), 5)
     assert outcome == Outcome.of(32768)
@@ -767,6 +864,42 @@ def test_canonical_bytes_are_the_compact_sorted_json(value):
     # Encoding long lists of rows one row at a time must not change a byte.
     expected = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
     assert protocol_mod.canonical_json_bytes(value) == expected
+
+
+def test_transcript_bytes_group_nested_rows(group_for, monkeypatch):
+    # This relabeling of cyclic:32768 has a 45-round 2-message tower, so the
+    # response nested in the transcript holds more than ROWS_PER_CALL rows.
+    G = group_for("cyclic:32768@seed=13")
+    outcome, transcript = run_protocol_2msg(G, (2,), _factory("honest"), 1)
+    assert outcome == Outcome.of(32768)
+    assert len(transcript.messages[-1].body["exponents"]) == 45 > ROWS_PER_CALL
+    calls = []
+    encode = protocol_mod._encode
+    monkeypatch.setattr(protocol_mod, "_encode", lambda obj: calls.append(obj) or encode(obj))
+    expected = json.dumps(transcript.to_wire(), sort_keys=True, separators=(",", ":")).encode()
+    assert transcript.canonical_bytes() == expected
+    assert max(map(_longest_rows, calls)) <= ROWS_PER_CALL
+
+
+def _longest_rows(obj) -> int:
+    """Length of the longest list of lists anywhere inside ``obj``."""
+    values = obj.values() if type(obj) is dict else obj if type(obj) is list else ()
+    own = len(obj) if type(obj) is list and obj and type(obj[0]) is list else 0
+    return max([own, *map(_longest_rows, values)])
+
+
+def test_canonical_bytes_of_deep_and_cyclic_values():
+    # Past the depth the grouped descent reaches, the C encoder answers.
+    deep = inner = []
+    for _ in range(400):
+        inner.append({"k": []})
+        inner = inner[0]["k"]
+    assert protocol_mod.canonical_json_bytes(deep) == json.dumps(
+        deep, sort_keys=True, separators=(",", ":")).encode()
+    cyclic = {"rows": [[0]] * (ROWS_PER_CALL + 1)}
+    cyclic["self"] = [cyclic]
+    with pytest.raises(ValueError, match="Circular reference"):
+        protocol_mod.canonical_json_bytes(cyclic)
 
 
 @settings(max_examples=300, deadline=None)

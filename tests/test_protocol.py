@@ -315,18 +315,30 @@ def test_finalize_aborts_on_non_sequence_fields(group_for, shape):
     assert verifier_finalize(state, response).aborted
 
 
-def test_finalize_refuses_exponents_outside_the_prime_range(group_for):
-    # Position j takes exponents in [0, r_j): with primes (2, 2, 3), round 3's
-    # row (1, 1) is in range and evaluates to g^9, not g.  The row (3, 2) is
-    # refused, not reduced modulo the quotient orders (2, 2); so are r_j
-    # itself, a negative entry and one above 2^n.
+def test_finalize_2msg_reduces_exponents(group_for):
+    # 2-message rows are held to [0, r_j) with the primes (2, 2, 3), not
+    # reduced modulo the quotient orders (2, 2): round 3's row (3, 2) is
+    # refused although it reduces to the accepted (1, 0).  The in-range row
+    # (1, 1) evaluates as sent, to g^9, not g.
     G = group_for("cyclic:12")
     state = _hand_state(G)
+    response = Response(bits=(1, 0, 1), exponents=((), (0,), (3, 2)))
+    reduced = Response(bits=(1, 0, 1), exponents=((), (0,), (1, 0)))
     in_range = Response(bits=(1, 0, 1), exponents=((), (1,), (1, 1)))
+    outcome = verifier_finalize(state, response)
+    assert outcome.aborted and "[0, r_j)" in outcome.reason
+    assert verifier_finalize(state, reduced) == Outcome.of(12)
     assert verifier_finalize(state, in_range) == Outcome.of(12)
+
+
+def test_finalize_3msg_exponent_cap(group_for):
+    # The bound at position j is r_j, which is below 2^n: an entry above 2^n,
+    # a negative entry and r_j itself are all refused by the same rule.
+    G = group_for("cyclic:12")
+    state = _hand_state(G)
     cap = 1 << G.encoding_length
-    for rows in (((), (0,), (3, 2)), ((), (2,), (0, 0)), ((), (0,), (0, 2)),
-                 ((), (-1,), (0, 0)), ((), (0,), (cap + 1, 0))):
+    for rows in (((), (0,), (cap + 1, 0)), ((), (-1,), (0, 0)),
+                 ((), (2,), (0, 0)), ((), (0,), (0, 2))):
         outcome = verifier_finalize(state, Response(bits=(1, 0, 1), exponents=rows))
         assert outcome.aborted and "[0, r_j)" in outcome.reason
 

@@ -230,6 +230,16 @@ class _Relabeling:
     round is an involution on its target half, so the composition is a
     bijection for any n >= 1 and is invertible by replaying rounds in
     reverse.
+
+    Each round's hash is memoized per input half, one int-keyed dict per
+    round.  Only ``forward`` fills the memo, and the oracle calls it only
+    on an element its backend produced, once per element, so the memo
+    holds at most four entries per encoded element and at most 4·2^⌈n/2⌉
+    in all: 4·min(|G|, 2^⌈n/2⌉) while only elements of G are multiplied.
+    ``backward`` reads it but never adds, so decoding a code costs no
+    memo entry.  The memo pays on dense encodings, where |G| is far above
+    2^(n/2) and halves repeat: the 15-bit codes of cyclic:32768 need 768
+    round hashes, not 4·32768.
     """
 
     ROUNDS = 4
@@ -242,6 +252,17 @@ class _Relabeling:
         # Keyed once; each round hash starts from a copy of this state.
         self._keyed = hashlib.blake2b(key=key, digest_size=64)
         self._half_bytes = (max(self.low_bits, self.high_bits) + 7) // 8 or 1
+        self._memo: list[dict[int, int]] = [{} for _ in range(self.ROUNDS)]
+
+    def _round(self, r: int, value: int, fill: bool) -> int:
+        """Round r's hash of ``value``, memoized; ``fill`` adds a missing entry."""
+        memo = self._memo[r]
+        out = memo.get(value)
+        if out is None:
+            out = self._round_value(value, r, self.high_bits if r % 2 else self.low_bits)
+            if fill:
+                memo[value] = out
+        return out
 
     def _round_value(self, value: int, round_index: int, width: int) -> int:
         need = (width + 7) // 8 or 1
@@ -255,21 +276,21 @@ class _Relabeling:
             block += 1
         return int.from_bytes(out[:need], "big") & ((1 << width) - 1)
 
-    def _apply(self, x: int, rounds: Iterable[int]) -> int:
+    def _apply(self, x: int, rounds: Iterable[int], fill: bool) -> int:
         high = x >> self.low_bits
         low = x & ((1 << self.low_bits) - 1)
         for r in rounds:
             if r % 2 == 0:
-                low ^= self._round_value(high, r, self.low_bits)
+                low ^= self._round(r, high, fill)
             else:
-                high ^= self._round_value(low, r, self.high_bits)
+                high ^= self._round(r, low, fill)
         return (high << self.low_bits) | low
 
     def forward(self, x: int) -> int:
-        return self._apply(x, range(self.ROUNDS))
+        return self._apply(x, range(self.ROUNDS), True)
 
     def backward(self, x: int) -> int:
-        return self._apply(x, reversed(range(self.ROUNDS)))
+        return self._apply(x, reversed(range(self.ROUNDS)), False)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from random import Random
 
@@ -162,35 +163,34 @@ def run_experiment(config: ExperimentConfig) -> Report:
         return make_prover(config.prover, group, rng)
 
     report = Report(config=config, group_order=expected)
-    log_lines: list[bytes] = []
-    started = time.perf_counter()
-    for trial in range(config.trials):
-        outcome, transcripts = run_repeated(
-            G,
-            config.protocol,
-            factory,
-            config.repetitions,
-            derive_seed(config.seed, f"trial-{trial}"),
-            primes=config.primes,
-        )
-        if outcome.aborted:
-            report.abort += 1
-        elif outcome.order == expected:
-            report.correct_order += 1
-        else:
-            report.wrong_order += 1
-            report.wrong_orders_seen.append(outcome.order)
-        for t in transcripts:
-            report.total_queries_product += t.queries.product
-            report.total_queries_inverse += t.queries.inverse
-            report.total_message_bytes += t.message_bytes()
-        if config.transcripts:
-            log_lines.append(canonical_json_bytes(_trial_record(trial, outcome, transcripts)))
-    report.wall_seconds = time.perf_counter() - started
+    with open(config.transcripts, "wb") if config.transcripts else nullcontext() as log:
+        started = time.perf_counter()
+        for trial in range(config.trials):
+            outcome, transcripts = run_repeated(
+                G,
+                config.protocol,
+                factory,
+                config.repetitions,
+                derive_seed(config.seed, f"trial-{trial}"),
+                primes=config.primes,
+            )
+            if outcome.aborted:
+                report.abort += 1
+            elif outcome.order == expected:
+                report.correct_order += 1
+            else:
+                report.wrong_order += 1
+                report.wrong_orders_seen.append(outcome.order)
+            for t in transcripts:
+                report.total_queries_product += t.queries.product
+                report.total_queries_inverse += t.queries.inverse
+                report.total_message_bytes += t.message_bytes()
+            if log is not None:
+                # One line per trial as it finishes: the log is never held in memory.
+                log.write(canonical_json_bytes(_trial_record(trial, outcome, transcripts)))
+                log.write(b"\n")
+        report.wall_seconds = time.perf_counter() - started
 
-    if config.transcripts:
-        with open(config.transcripts, "wb") as fh:
-            fh.write(b"\n".join(log_lines) + b"\n")
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(report.to_json() + "\n")

@@ -6,14 +6,20 @@ This module computes such sequences from the derived series, enumerated by
 coset steps (Dimino's closure, with one enumeration of the whole group per
 oracle), refines them with a descending prime-power exponent schedule so
 that every quotient order is 1 or a known prime, and builds one normal-form
-table per tower: the codes in insertion order, every prefix subgroup a
-prefix of them, and a dict from each code to its index, whose mixed-radix
-digits are the element's exponent tuple (one int per element, however long
-the tower).  The table doubles as the classical stand-in for the
-decomposition and membership queries that a computationally stronger party
-would answer.  ``compact_tower`` drops the identity and repeated positions
-of a refined tower by code equality alone; the honest 3-message prover
-commits to that tower.  Every result is memoized on the oracle (see
+table per subgroup chain: the codes in insertion order, every prefix
+subgroup a prefix of them, and a dict from each code to its index, whose
+mixed-radix digits are the element's exponent tuple (one int per element,
+however long the tower).  The table doubles as the classical stand-in for
+the decomposition and membership queries that a computationally stronger
+party would answer.  ``compact_tower`` drops the identity and repeated
+positions of a refined tower by code equality alone; the honest 3-message
+prover commits to that tower.  A tower whose positions of quotient order
+> 1 hold another tower's such elements in the same order, and whose other
+positions lie in the level before them, gets its chain as a view of the
+other's table (``SubgroupChain.view``): O(t) memory and no oracle query.
+The refined tower (when its positions of order > 1 hold the pcgs
+elements themselves), the compacted tower and a forged tower are built so.
+Every result is memoized on the oracle (see
 ``groups.memoized``), so it is freed with the oracle.  Every enumeration is
 bounded by the one closure bound ``groups.DEFAULT_CLOSURE_CAP``, so a memo
 key names only what the result depends on: the tower or the primes.
@@ -191,6 +197,36 @@ class SubgroupChain:
         self.quotient_orders += (m,)
         self._sizes.append(len(codes))
 
+    def view(self, elements: Sequence[ElementCode]) -> SubgroupChain | None:
+        """The chain of ``elements`` as a view of this table, or None.
+
+        The coset step adds codes only at positions of quotient order > 1,
+        and puts h itself at index |level|.  So a tower each of whose
+        elements either lies in the level before it (quotient order 1) or
+        sits at index |level| (it is this chain's next element of order > 1,
+        with the same quotient order) lists the same codes at the same
+        indices.  Its view shares this chain's codes list and index dict,
+        keeps its own level sizes, radices and quotient orders, costs O(t)
+        memory and makes no oracle query.  A view is never grown.
+        """
+        chain = SubgroupChain(self.G, ())
+        chain._codes, chain._index = self._codes, self._index
+        orders = []
+        for h in elements:
+            size, k = chain._sizes[-1], self._index.get(h, -1)
+            used = len(chain._radices)
+            if k == size and used < len(self._radices):
+                m = self._radices[used][1]
+                chain._radices.append((len(orders), m))
+            elif 0 <= k < size:
+                m = 1
+            else:
+                return None
+            orders.append(m)
+            chain._sizes.append(size * m)
+        chain.elements, chain.quotient_orders = tuple(elements), tuple(orders)
+        return chain
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -213,7 +249,7 @@ class SubgroupChain:
         return self._codes[: self._sizes[j]]
 
     def group_order(self) -> int:
-        return len(self._codes)
+        return self._sizes[-1]
 
     def is_member(self, j: int, h: ElementCode) -> bool:
         """Whether h lies in the j-th prefix subgroup."""
@@ -241,6 +277,29 @@ def get_chain(G: GroupOracle, elements: Sequence[ElementCode]) -> SubgroupChain:
     """Memoized SubgroupChain lookup (chains are never changed once built)."""
     elements = tuple(elements)
     return memoized(G, ("chain", elements), lambda: SubgroupChain(G, elements))
+
+
+def get_chain_view(
+    G: GroupOracle, elements: Sequence[ElementCode], source: SubgroupChain | None
+) -> SubgroupChain:
+    """``get_chain(G, elements)``, built as a view of ``source`` when the tower is one.
+
+    A tower that ``SubgroupChain.view`` accepts shares ``source``'s table
+    and costs no query; any other tower, or any tower when ``source`` is
+    None, gets a table of its own.
+    """
+    elements = tuple(elements)
+
+    def build() -> SubgroupChain:
+        view = None if source is None else source.view(elements)
+        return view or SubgroupChain(G, elements)
+
+    return memoized(G, ("chain", elements), build)
+
+
+def _built_chain(G: GroupOracle, elements: Sequence[ElementCode]) -> SubgroupChain | None:
+    """The memoized chain of ``elements``, or None when none is built yet."""
+    return G.precomputed.get(("chain", tuple(elements)))
 
 
 def _group_elements(G: GroupOracle) -> list[ElementCode]:
@@ -399,8 +458,9 @@ def refine_with_primes(
     Requires ``primes`` to cover every prime factor of the group order: the
     result is validated, through the memoized normal-form table of the
     whole tower, against the quotient-order invariant and the enumerated
-    group order, and a violation raises RefinementError.  Memoized per
-    oracle (the computation is deterministic).
+    group order, and a violation raises RefinementError.  That table is a
+    view of the pcgs chain's (no query) when the tower is one.  Memoized
+    per oracle (the computation is deterministic).
     """
     ordered = tuple(sorted(set(primes)))
     if not pcgs.elements:
@@ -422,7 +482,7 @@ def refine_with_primes(
             elements.extend(reversed(block))
         attached = [ordered[0], *ratios] * len(pcgs.elements)
 
-        chain = get_chain(G, elements)
+        chain = get_chain_view(G, elements, _built_chain(G, pcgs.elements))
         orders = chain.quotient_orders
         for i, (m, r) in enumerate(zip(orders, attached)):
             if m not in (1, r):
@@ -454,6 +514,11 @@ def compact_tower(G: GroupOracle, seq: PolycyclicSequence) -> PolycyclicSequence
     and order, and the product of the quotient orders is unchanged.  Only
     rounds an adversary could try to inflate are dropped, never one that
     carries a factor of the order.
+
+    The coset step adds no code at a dropped position, so when ``seq``'s
+    chain is already memoized (``refine_with_primes`` builds it) the
+    compacted tower's chain is memoized as a view of it
+    (``SubgroupChain.view``): the two towers share one normal-form table.
     """
     seen = {G.identity}
     kept = []
@@ -465,4 +530,8 @@ def compact_tower(G: GroupOracle, seq: PolycyclicSequence) -> PolycyclicSequence
     def pick(values):
         return None if values is None else tuple(values[i] for i in kept)
 
-    return PolycyclicSequence(pick(seq.elements), pick(seq.primes), pick(seq.quotient_orders))
+    tower = PolycyclicSequence(pick(seq.elements), pick(seq.primes), pick(seq.quotient_orders))
+    source = _built_chain(G, seq.elements)
+    if source is not None:
+        get_chain_view(G, tower.elements, source)
+    return tower

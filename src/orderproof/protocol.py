@@ -159,34 +159,60 @@ def _descend(value) -> bool:
         type(value[0]) is dict or type(value[0]) is list and len(value) > ROWS_PER_CALL)
 
 
-def _encode_grouped(obj) -> str:
-    """``_encode(obj)``, descending into dicts and lists of dicts to group rows."""
+def _encode_grouped(obj, out: list[str]) -> None:
+    """Append the pieces of ``_encode(obj)`` to ``out``, grouping rows.
+
+    Descends into dicts and lists of dicts; every piece goes to the one
+    list, so the caller joins the whole text once.
+    """
     if type(obj) is dict and any(map(_descend, obj.values())) and all(type(k) is str for k in obj):
-        fields = (_encode(k) + ":" + _encode_grouped(v) for k, v in sorted(obj.items()))
-        return "{" + ",".join(fields) + "}"
-    if type(obj) is list and obj and type(obj[0]) is dict:
-        return "[" + ",".join(map(_encode_grouped, obj)) + "]"
-    if type(obj) is list and len(obj) > ROWS_PER_CALL and type(obj[0]) is list:
+        opening = "{"
+        for k, v in sorted(obj.items()):
+            out.append(opening + _encode(k) + ":")
+            _encode_grouped(v, out)
+            opening = ","
+        out.append("}")
+    elif type(obj) is list and obj and type(obj[0]) is dict:
+        opening = "["
+        for item in obj:
+            out.append(opening)
+            _encode_grouped(item, out)
+            opening = ","
+        out.append("]")
+    elif type(obj) is list and len(obj) > ROWS_PER_CALL and type(obj[0]) is list:
         n = ROWS_PER_CALL
-        return "[" + ",".join(_encode(obj[i:i + n])[1:-1] for i in range(0, len(obj), n)) + "]"
-    return _encode(obj)
+        for i in range(0, len(obj), n):
+            out.append("," if i else "[")
+            out.append(_encode(obj[i:i + n])[1:-1])
+        out.append("]")
+    else:
+        out.append(_encode(obj))
 
 
-def canonical_json_bytes(obj) -> bytes:
-    """Compact JSON with sorted keys: the bytes ``json.dumps`` gives.
+def canonical_json(obj) -> str:
+    """Compact JSON with sorted keys: the text ``json.dumps`` gives.
 
+    The text is ASCII, so its length is the length of its bytes.
     CPython 3.11's C encoder keeps a string for every number it writes
     until it has 10^5 of them, and a 2-message response over a long tower
     holds about that many.  Mapping fresh memory for those strings made
     scale-2msg trials about 12% slower (2-core VM), so a list of more than
     ``ROWS_PER_CALL`` rows is encoded that many rows at a time, also where
-    it sits inside a message inside a transcript.  A value nested too deep
-    for that descent, or holding a cycle, gets the C encoder's own answer.
+    it sits inside a message inside a transcript, and the pieces are
+    joined once.  A value nested too deep for that descent, or holding a
+    cycle, gets the C encoder's own answer.
     """
+    pieces: list[str] = []
     try:
-        return _encode_grouped(obj).encode()
+        _encode_grouped(obj, pieces)
     except RecursionError:
-        return _encode(obj).encode()
+        return _encode(obj)
+    return "".join(pieces)
+
+
+def canonical_json_bytes(obj) -> bytes:
+    """``canonical_json(obj)`` as bytes: compact JSON with sorted keys."""
+    return canonical_json(obj).encode()
 
 
 def outcome_to_wire(outcome: Outcome) -> dict:
@@ -500,7 +526,7 @@ _UNENCODABLE = (AttributeError, TypeError, ValueError, RecursionError)
 
 def _log(transcript: Transcript, direction: str, kind: str, body: dict) -> None:
     transcript.messages.append(
-        TranscriptMessage(direction, kind, body, len(canonical_json_bytes(body)))
+        TranscriptMessage(direction, kind, body, len(canonical_json(body)))
     )
 
 

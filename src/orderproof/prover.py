@@ -25,6 +25,7 @@ from .polycyclic import (
     compact_tower,
     compute_pcgs,
     get_chain,
+    get_chain_view,
     group_order,
     prime_factors,
     refine_with_primes,
@@ -325,7 +326,9 @@ class OrderForgerProver(GuessInflateProver):
     protocol, where the verifier owns the tower, it falls back to inflating
     every inflatable trivial round, which keeps its claimed wrong order
     consistent across repeated runs.  Each inflated round is answered as
-    ``GuessInflateProver`` answers its one.
+    ``GuessInflateProver`` answers its one.  The forged tower's chain is a
+    view of the honest chain's table (``get_chain_view``), so each forged
+    tower costs O(t) memory and no query for its table.
     """
 
     name = "order_forger"
@@ -345,6 +348,9 @@ class OrderForgerProver(GuessInflateProver):
         elements = honest.elements + (extra,)
         primes = honest.primes + (claimed_prime,)
         self._forged_elements = elements
+        # extra lies in G, so its quotient order is 1 and the forged tower
+        # shares the honest table.
+        get_chain_view(self.G, elements, chain)
         return build_commitment(self.G, elements, primes)
 
     def _targets(self, chain, elements):

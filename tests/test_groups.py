@@ -11,6 +11,7 @@ from orderproof import (
     CyclicSpec,
     DirectProductSpec,
     GroupSpecError,
+    InvalidCodeError,
     PermutationSpec,
     QueryCounts,
     QueryMeter,
@@ -274,6 +275,43 @@ def test_relabeling_known_answer_past_one_hash_block():
     assert digest == "2ee429fbc154e8885f094f4637e6c7b553f3a825f4c99ecaf7952a91e010d2bf"
     assert relabel.forward(1) % 2**64 == 8696247750287048700
     assert [relabel.backward(y) for y in outputs[:3]] == list(xs)
+
+
+def _memo_entries(G):
+    return sum(map(len, G._relabel._memo))
+
+
+def test_relabeling_memo_holds_one_entry_per_round_and_half_value():
+    # 15-bit codes: 8-bit and 7-bit halves, so 2 * (2^8 + 2^7) = 768 round
+    # hashes cover every element, against 4 * 32768 without the memo.
+    G = make_group(parse_group_spec("cyclic:32768@seed=7"))
+    assert len(enumerate_closure(G, G.generators)) == 32768
+    assert _memo_entries(G) <= 4 * 2 ** ((G.encoding_length + 1) // 2)
+    assert _memo_entries(G) == 768
+
+
+def test_decoding_junk_codes_does_not_grow_the_relabeling_memo():
+    # S4 wr C2 has 24-bit codes, so almost every code is no element.
+    G = make_group(parse_group_spec("perm:8:(1 2),(1 2 3 4),(1 5)(2 6)(3 7)(4 8)@seed=5"))
+    members = set(enumerate_closure(G, G.generators))
+    entries = _memo_entries(G)
+    width = (G.encoding_length + 7) // 8
+    rng = Random(1)
+    junk = set()
+    while len(junk) < 1000:
+        code = rng.getrandbits(G.encoding_length).to_bytes(width, "big")
+        if code not in members:
+            junk.add(code)
+    for code in junk:
+        try:
+            G._decode(code)
+        except InvalidCodeError:
+            pass
+    assert _memo_entries(G) == entries
+    relabel = G._relabel
+    for x in range(1000):
+        relabel.backward(x)
+    assert _memo_entries(G) == entries
 
 
 def test_scripted_query_accounting():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from orderproof import (
     run_experiment,
     wilson_interval,
 )
+from orderproof import harness, protocol
 from orderproof.cli import main
 from orderproof.harness import recount_from_log
 
@@ -91,6 +93,39 @@ def test_transcript_log_recount_matches_report(tmp_path):
         "wrong_order": report.wrong_order,
         "abort": report.abort,
     }
+
+
+def test_readme_transcript_log_is_byte_identical(tmp_path):
+    # The README's guess_inflate --transcripts example; the sha256 was taken
+    # when the log was joined in memory and written after the last trial.
+    log = tmp_path / "runs.ndjson"
+    run_experiment(ExperimentConfig(
+        group="cyclic:12", protocol="2msg", prover="guess_inflate",
+        primes=(2, 3), trials=2000, seed=1, transcripts=str(log),
+    ))
+    digest = hashlib.sha256(log.read_bytes()).hexdigest()
+    assert digest == "eb0a826aad32ab8372e82616f86d21d32c9237d22ff4566bc2e1e71cfb183008"
+
+
+def test_transcript_log_is_written_as_trials_finish(tmp_path, monkeypatch):
+    # A campaign that fails on its fourth trial leaves the first three lines:
+    # each line is written when its trial finishes, not held until the end.
+    log = tmp_path / "runs.ndjson"
+    calls = []
+
+    def run_repeated(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise RuntimeError("trial 3 fails")
+        return protocol.run_repeated(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_repeated", run_repeated)
+    with pytest.raises(RuntimeError):
+        run_experiment(ExperimentConfig(
+            group="cyclic:12", protocol="2msg", primes=(2, 3), trials=5, seed=1,
+            transcripts=str(log),
+        ))
+    assert [json.loads(line)["trial"] for line in log.read_bytes().splitlines()] == [0, 1, 2]
 
 
 def test_nonsolvable_honest_runs_abort():
@@ -220,8 +255,9 @@ def test_cli_pcgs(capsys):
     assert len(payload["elements"]) == payload["length"]
     # The compacted tower the protocols run: (6, 9, 3, 1), with 3 in <6, 9>.
     assert (payload["rounds"], payload["trivial_rounds"], payload["inflatable_rounds"]) == (4, 1, 1)
-    # pcgs, order, refinement and normal-form tables, each paid once.
-    assert payload["setup_queries"] == 59
+    # pcgs, order, refinement and the refined tower's table, each paid once;
+    # the compacted tower's table is a view of the refined one, at no query.
+    assert payload["setup_queries"] == 48
 
 
 def test_cli_pcgs_without_primes_has_no_round_counts(capsys):

@@ -30,7 +30,12 @@ from orderproof import (
     refinement_exponents,
 )
 from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
-from orderproof.polycyclic import MILLER_RABIN_EXACT_BELOW, _conjugation_closure, is_prime
+from orderproof.polycyclic import (
+    MILLER_RABIN_EXACT_BELOW,
+    _conjugation_closure,
+    get_chain_view,
+    is_prime,
+)
 
 
 # -- exponent schedule --------------------------------------------------------
@@ -541,3 +546,53 @@ def test_compact_tower_of_the_trivial_group(group_for):
     G = group_for("cyclic:1")
     tower = compact_tower(G, refine_with_primes(G, compute_pcgs(G), ()))
     assert tower.elements == () and tower.primes == () and tower.quotient_orders == ()
+
+
+#: COMPACTION_CASES plus cyclic:32768, whose dense 15-bit encoding gives a
+#: 45-position paper tower.
+VIEW_CASES = [*COMPACTION_CASES, ("cyclic:32768@seed=7", (2,))]
+
+
+@pytest.mark.parametrize("spec,primes", VIEW_CASES)
+def test_compacted_chain_is_a_view_of_the_refined_chain(spec, primes):
+    G = make_group(parse_group_spec(spec))
+    refined = refine_with_primes(G, compute_pcgs(G), primes)
+    tower = compact_tower(G, refined)
+    queries = G.query_counts()
+    chain = get_chain(G, tower.elements)
+    assert G.query_counts() == queries
+    full = get_chain(G, refined.elements)
+    assert chain._codes is full._codes and chain._index is full._index
+    fresh = SubgroupChain(G, tower.elements)
+    assert chain.quotient_orders == fresh.quotient_orders
+    assert chain.group_order() == fresh.group_order()
+    top = fresh.level_elements(len(fresh))
+    probes = top[:: max(1, len(top) // 512)]
+    for j in range(len(chain) + 1):
+        assert chain.level_order(j) == fresh.level_order(j)
+        for h in probes:
+            assert chain.is_member(j, h) == fresh.is_member(j, h)
+            assert chain.decompose(j, h) == fresh.decompose(j, h)
+
+
+def test_a_tower_that_adds_codes_elsewhere_gets_its_own_table():
+    # (6, 9, 3, 1) in Z/12: the tower (1,) would put g at index 1, where
+    # the refined table holds 6, so it is no view.
+    G = make_group(parse_group_spec("cyclic:12"))
+    full = get_chain(G, compact_tower(G, refine_with_primes(G, compute_pcgs(G), (2, 3))).elements)
+    g = G.generators[0]
+    assert full.view((g,)) is None
+    assert full.view((b"\xff",)) is None
+    chain = get_chain_view(G, (g,), full)
+    assert chain._codes is not full._codes
+    assert chain.quotient_orders == (12,)
+    # A prefix of the tower, with a repeat and the identity, is a view.
+    six, nine = full.elements[:2]
+    prefix = get_chain_view(G, (six, G.identity, nine, six), full)
+    assert prefix._codes is full._codes
+    assert prefix.quotient_orders == (2, 1, 2, 1)
+    assert prefix.group_order() == 4 and prefix.level_elements(4) == full.level_elements(2)
+    # Past the prefix's top level its view cannot go, though the codes are there.
+    assert prefix.view(full.elements) is None
+    assert prefix.view((nine, six)) is None
+    assert prefix.view((six, nine)).quotient_orders == (2, 2)

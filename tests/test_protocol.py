@@ -876,6 +876,8 @@ def test_canonical_bytes_are_the_compact_sorted_json(value):
     # Encoding long lists of rows one row at a time must not change a byte.
     expected = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
     assert protocol_mod.canonical_json_bytes(value) == expected
+    # The text is ASCII, so the logged message size can be its length.
+    assert len(protocol_mod.canonical_json(value)) == len(expected)
 
 
 def test_transcript_bytes_group_nested_rows(group_for, monkeypatch):

@@ -14,7 +14,9 @@ from orderproof import (
     group_order,
     honest_commitment,
     list_adversaries,
+    make_group,
     make_prover,
+    parse_group_spec,
     prime_factors,
     refine_with_primes,
     run_protocol_2msg,
@@ -195,3 +197,28 @@ def test_strategies_are_deterministic_per_seed(group_for):
             a = protocol(G, _factory(name), 5)[1].canonical_bytes()
             b = protocol(G, _factory(name), 5)[1].canonical_bytes()
         assert a == b, name
+
+
+def test_forged_towers_share_the_honest_table():
+    # The appended element lies in G, so its quotient order is 1 and the
+    # forged tower's chain is a view of the honest one: the commitment
+    # costs only its power and conjugate rows, as when rebuilt afterwards.
+    G = make_group(parse_group_spec("perm:4:(1 2),(1 2 3 4)"))
+    honest = honest_commitment(G)
+    honest_chain = get_chain(G, honest.elements)
+    # At least 30 seeds, and on until the appended element has been the
+    # identity and a committed element.
+    extras, seed = set(), 0
+    while seed < 30 or G.identity not in extras or not extras & set(honest.elements):
+        seed += 1
+        forger = make_prover("order_forger", G, Random(seed))
+        before = G.query_counts()
+        c = forger.commit()
+        spent = G.query_counts() - before
+        extras.add(c.elements[-1])
+        chain = get_chain(G, c.elements)
+        assert chain._codes is honest_chain._codes and chain._index is honest_chain._index
+        assert chain.quotient_orders == honest_chain.quotient_orders + (1,)
+        before = G.query_counts()
+        assert build_commitment(G, c.elements, c.primes) == c
+        assert spent == G.query_counts() - before

@@ -318,9 +318,10 @@ _active_meter: ContextVar[dict | None] = ContextVar("orderproof_query_meter", de
 class QueryMeter:
     """Context-local collector of oracle queries issued while measuring.
 
-    Unlike the oracle's global counters, a meter only sees queries made in
-    the context (thread/task) that activated it, so parallel executions
-    sharing one oracle keep independent per-execution counts.
+    Unlike the oracle's counts, which sum every thread's calls, a meter
+    only sees queries made in the context (thread/task) that activated it,
+    so parallel executions sharing one oracle keep independent
+    per-execution counts.
     """
 
     def __init__(self):
@@ -346,9 +347,14 @@ class GroupOracle:
     """Black-box handle to a finite group.
 
     Exposes the encoding length (bits), the generator codes, the identity
-    code, and the two counting oracles.  Besides its query counters, which
-    are lock-protected and safe to increment from concurrent executions,
-    the oracle owns ``precomputed``: the store where ``memoized`` keeps the
+    code, and the two counting oracles.  Each thread that calls an oracle
+    counts its calls in a tally of its own, registered once under a lock,
+    so a call bumps a list entry and takes no lock; ``query_counts()`` sums
+    the tallies, including those of threads that have exited.  A code the
+    oracle produced maps to its element and back through two dicts, which
+    ``product`` and ``inverse`` read inline; a code it did not produce is
+    validated and decoded on every use and never stored.  The oracle also
+    owns ``precomputed``: the store where ``memoized`` keeps the
     deterministic precomputation of this group (order, pcgs, refinements,
     normal-form tables, the honest commitment).  It lives and dies with the
     oracle.
@@ -363,8 +369,8 @@ class GroupOracle:
         self._rep_to_code: dict = {}
         self._code_to_rep: dict = {}
         self._lock = threading.Lock()
-        self._product_count = 0
-        self._inverse_count = 0
+        self._tallies: list[list[int]] = []  # one [products, inverses] per thread
+        self._local = threading.local()
         self.precomputed: dict[tuple, Any] = {}
         self.identity = self._encode(backend.identity_rep())
         self.generators = tuple(self._encode(rep) for rep in backend.generator_reps())
@@ -383,6 +389,7 @@ class GroupOracle:
         return code
 
     def _decode(self, code: ElementCode):
+        """The element ``code`` names; a code the oracle did not produce is not kept."""
         rep = self._code_to_rep.get(code)
         if rep is None:
             if not isinstance(code, bytes) or len(code) != self._code_width:
@@ -395,41 +402,62 @@ class GroupOracle:
             if self._relabel is not None:
                 x = self._relabel.backward(x)
             rep = self._backend.int_to_rep(x)
-            self._code_to_rep[code] = rep
-            self._rep_to_code[rep] = code
         return rep
 
     # -- counting ----------------------------------------------------------
 
-    def _bump_product(self) -> None:
-        with self._lock:
-            self._product_count += 1
-        meter = _active_meter.get()
-        if meter is not None:
-            meter["product"] += 1
-
-    def _bump_inverse(self) -> None:
-        with self._lock:
-            self._inverse_count += 1
-        meter = _active_meter.get()
-        if meter is not None:
-            meter["inverse"] += 1
+    def _tally(self) -> list[int]:
+        """This thread's [products, inverses] tally, registered on first use."""
+        try:
+            return self._local.tally
+        except AttributeError:
+            tally = self._local.tally = [0, 0]
+            with self._lock:
+                self._tallies.append(tally)
+            return tally
 
     def query_counts(self) -> QueryCounts:
         with self._lock:
-            return QueryCounts(self._product_count, self._inverse_count)
+            tallies = list(self._tallies)
+        return QueryCounts(sum(t[0] for t in tallies), sum(t[1] for t in tallies))
 
     # -- oracles -----------------------------------------------------------
 
     def product(self, g: ElementCode, h: ElementCode) -> ElementCode:
         """Product oracle: code of g*h."""
-        self._bump_product()
-        return self._encode(self._backend.multiply(self._decode(g), self._decode(h)))
+        try:
+            self._local.tally[0] += 1
+        except AttributeError:
+            self._tally()[0] += 1
+        meter = _active_meter.get()
+        if meter is not None:
+            meter["product"] += 1
+        reps = self._code_to_rep
+        a = reps.get(g)
+        if a is None:
+            a = self._decode(g)
+        b = reps.get(h)
+        if b is None:
+            b = self._decode(h)
+        rep = self._backend.multiply(a, b)
+        code = self._rep_to_code.get(rep)
+        return self._encode(rep) if code is None else code
 
     def inverse(self, g: ElementCode) -> ElementCode:
         """Inverse oracle: code of g^-1."""
-        self._bump_inverse()
-        return self._encode(self._backend.invert(self._decode(g)))
+        try:
+            self._local.tally[1] += 1
+        except AttributeError:
+            self._tally()[1] += 1
+        meter = _active_meter.get()
+        if meter is not None:
+            meter["inverse"] += 1
+        a = self._code_to_rep.get(g)
+        if a is None:
+            a = self._decode(g)
+        rep = self._backend.invert(a)
+        code = self._rep_to_code.get(rep)
+        return self._encode(rep) if code is None else code
 
     def power(self, g: ElementCode, k: int) -> ElementCode:
         """g^k by left-to-right square and multiply.
@@ -499,8 +527,17 @@ def eval_word(G: GroupOracle, bases: Sequence[ElementCode], exps: Sequence[int])
     """
     if len(bases) != len(exps):
         raise ValueError(f"word length mismatch: {len(bases)} bases, {len(exps)} exponents")
+    return product_of_powers(G, compress(zip(bases, exps), exps))
+
+
+def product_of_powers(G: GroupOracle, terms: Iterable[tuple[ElementCode, int]]) -> ElementCode:
+    """The product of base^exp over (base, exp) ``terms``, left to right.
+
+    ``eval_word`` after its zero skip: the identity, at no query, when
+    there is no term.
+    """
     acc = None
-    for base, exp in compress(zip(bases, exps), exps):
+    for base, exp in terms:
         p = G.power(base, exp)
         acc = p if acc is None else G.product(acc, p)
     return G.identity if acc is None else acc

@@ -16,6 +16,12 @@ Both variants share one verifier path: every exponent a prover sends for
 position j, in a commitment or a response row, must lie in [0, r_j), with
 r_j the prime attached there (``_row_fault``), as normal-form digits do.
 
+A trial pays for what its messages carry, not for their length.  A
+challenge round costs a product only when its secret bit is 1 and its mask
+is not the identity.  Response rows over a long tower are mostly zeros:
+the row check, the word evaluation and the canonical encoding step over
+the nonzero entries only, and their zeros are scanned by builtins in C.
+
 Every execution is seeded and reproducible: transcripts carry the full
 message log in a canonical JSON form, so identical seeds yield
 byte-identical transcripts.  Per-execution query counters cover the
@@ -31,6 +37,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from random import Random
 from typing import Callable, Sequence
 
@@ -43,6 +50,7 @@ from .groups import (
     QueryCounts,
     QueryMeter,
     eval_word,
+    product_of_powers,
 )
 from .polycyclic import (
     ChainError,
@@ -149,7 +157,7 @@ class Transcript:
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-#: Rows per encoder call when a list of rows is longer.
+#: A list of more rows than this is encoded one row per call.
 ROWS_PER_CALL = 32
 
 
@@ -157,6 +165,24 @@ def _descend(value) -> bool:
     """Whether ``_encode_grouped`` splits ``value``: a dict, a list of dicts, or long rows."""
     return type(value) is dict or type(value) is list and len(value) > 0 and (
         type(value[0]) is dict or type(value[0]) is list and len(value) > ROWS_PER_CALL)
+
+
+#: ``set(map(type, row))`` of a non-empty row of exact ints.
+_INT = {int}
+
+
+def _int_row(row: list[int]) -> str:
+    """``_encode(row)`` for a non-empty list of exact ints, by zero runs.
+
+    ``compress`` finds the nonzero positions in C; each one costs a Python
+    step, the zeros before it one string repeat.
+    """
+    pieces, start = [], 0
+    for j in compress(range(len(row)), row):
+        pieces.append(f"{'0,' * (j - start)}{row[j]},")
+        start = j + 1
+    pieces.append("0," * (len(row) - start))
+    return f"[{''.join(pieces)[:-1]}]"
 
 
 def _encode_grouped(obj, out: list[str]) -> None:
@@ -180,10 +206,12 @@ def _encode_grouped(obj, out: list[str]) -> None:
             opening = ","
         out.append("]")
     elif type(obj) is list and len(obj) > ROWS_PER_CALL and type(obj[0]) is list:
-        n = ROWS_PER_CALL
-        for i in range(0, len(obj), n):
-            out.append("," if i else "[")
-            out.append(_encode(obj[i:i + n])[1:-1])
+        opening = "["
+        for row in obj:
+            out.append(opening)
+            out.append(_int_row(row) if type(row) is list and set(map(type, row)) == _INT
+                       else _encode(row))
+            opening = ","
         out.append("]")
     else:
         out.append(_encode(obj))
@@ -197,10 +225,13 @@ def canonical_json(obj) -> str:
     until it has 10^5 of them, and a 2-message response over a long tower
     holds about that many.  Mapping fresh memory for those strings made
     scale-2msg trials about 12% slower (2-core VM), so a list of more than
-    ``ROWS_PER_CALL`` rows is encoded that many rows at a time, also where
-    it sits inside a message inside a transcript, and the pieces are
-    joined once.  A value nested too deep for that descent, or holding a
-    cycle, gets the C encoder's own answer.
+    ``ROWS_PER_CALL`` rows is encoded one row at a time, also where it sits
+    inside a message inside a transcript, and the pieces are joined once.
+    Such a row whose entries are all exact ``int`` is written by zero runs
+    (``_int_row``), one step per nonzero entry; any other row (bools,
+    IntEnum members, floats, nested values) goes to the C encoder.  A value
+    nested too deep for that descent, or holding a cycle, gets the C
+    encoder's own answer.
     """
     pieces: list[str] = []
     try:
@@ -264,15 +295,22 @@ def _row_fault(row, length: int | None = None, primes: Sequence[int] = ()) -> st
     accepted.  A verifier row also has the expected ``length`` and holds
     0 <= row[j] < primes[j], the prime attached to position j.  Builtins
     check the whole row; only a row holding a type other than ``int`` falls
-    back to a per-element check.
+    back to a per-element check.  Every r_j is a prime, so a zero entry is
+    always in range: in a row of exact ints only the nonzero entries, picked
+    out by ``compress`` in C, are compared with their bounds.  A row with an
+    int subclass in it has every entry compared, whatever its truth value.
     """
     if not isinstance(row, (tuple, list)):
         return "not a sequence"
     if length is not None and len(row) != length:
         return "wrong length"
-    if set(map(type, row)) - {int} and any(not isinstance(a, int) or isinstance(a, bool) for a in row):
-        return "non-integer entry"
-    if primes and row and (min(row) < 0 or not all(map(operator.lt, row, primes))):
+    entries, bounds = row, primes
+    if set(map(type, row)) - _INT:
+        if any(not isinstance(a, int) or isinstance(a, bool) for a in row):
+            return "non-integer entry"
+    elif primes:
+        entries, bounds = list(compress(row, row)), compress(primes, row)
+    if primes and entries and (min(entries) < 0 or not all(map(operator.lt, entries, bounds))):
         return "entry outside [0, r_j)"
     return None
 
@@ -369,16 +407,23 @@ def _issue_challenge(
 ) -> tuple[VerifierState, tuple[ElementCode, ...]]:
     """Draw per-round secret bits and masks; return the state and the masked elements.
 
-    Round i's mask is a uniform element of level i-1 from the tower's
+    Round i's mask x is a uniform element of level i-1 from the tower's
     normal-form table, which the amortized warm-up builds, so a draw makes
-    no oracle query: the simulator's stand-in for the paper's sampler.
+    no oracle query: the simulator's stand-in for the paper's sampler.  The
+    masked element h_i^s·x costs one product only when s = 1 and x is not
+    the identity; otherwise it is x (s = 0) or h_i (x the identity).  Both
+    are codes the oracle accepts (a table element; the tower's own h_i, or
+    a committed one the commitment check raised to its prime), and a code
+    it accepts is the one it gives that element, so each shortcut sends
+    the code the product would return.
     """
     bits, masked = [], []
+    identity = G.identity
     for i, h in enumerate(elements):
         s = rng.getrandbits(1)
         x = chain.level_element(i, rng.randrange(chain.level_order(i)))
         bits.append(s)
-        masked.append(G.product(G.power(h, s), x))
+        masked.append(x if not s else h if x == identity else G.product(h, x))
     return VerifierState(G, tuple(elements), tuple(primes), chain, tuple(bits)), tuple(masked)
 
 
@@ -491,8 +536,8 @@ def verifier_finalize(state: VerifierState, response: Response) -> Outcome:
     as well, in both protocols alike: ``_row_fault`` checks each row against
     the primes the verifier holds, so no exponent is reduced.
     """
-    G = state.G
-    t = len(state.elements)
+    G, elements = state.G, state.elements
+    t = len(elements)
     bits, exponents = response.bits, response.exponents
     if not isinstance(bits, (tuple, list)) or not isinstance(exponents, (tuple, list)):
         return Outcome.abort("response bits and exponents must be sequences")
@@ -507,8 +552,9 @@ def verifier_finalize(state: VerifierState, response: Response) -> Outcome:
         fault = _row_fault(row, i - 1, state.primes)
         if fault is not None:
             return Outcome.abort(f"round {i}: malformed exponent row: {fault}")
-        word = eval_word(G, state.elements[: i - 1], row)
-        if word == state.elements[i - 1]:
+        # The row has i - 1 entries, so zip stops at h_{i-1}: no prefix copy.
+        word = product_of_powers(G, compress(zip(elements, row), row))
+        if word == elements[i - 1]:
             factors.append(1)
         elif bit == state.secret_bits[i - 1]:
             factors.append(state.primes[i - 1])

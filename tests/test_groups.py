@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import sys
 import threading
 from random import Random
 
@@ -344,6 +346,79 @@ def test_counters_concurrent_increment():
     for t in threads:
         t.join()
     assert (G.query_counts() - before).product == 8000
+
+
+def test_counts_stay_exact_under_fast_thread_switches():
+    # Four threads mix products and inverses while the interpreter switches
+    # threads every microsecond; each thread's tally is its own, so the sum
+    # loses no call.
+    G = make_group(CyclicSpec(7))
+    g = G.generators[0]
+    before = G.query_counts()
+    start = threading.Barrier(4)
+
+    def worker(n):
+        start.wait(timeout=60)
+        for i in range(n):
+            if i % 3:
+                G.product(g, g)
+            else:
+                G.inverse(g)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(15000,)) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert G.query_counts() - before == QueryCounts(product=40000, inverse=20000)
+
+
+def test_counts_of_exited_threads_remain():
+    G = make_group(CyclicSpec(7))
+    g = G.generators[0]
+    before = G.query_counts()
+
+    def worker():
+        for _ in range(100):
+            G.product(g, g)
+        for _ in range(7):
+            G.inverse(g)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    del thread
+    gc.collect()
+    assert G.query_counts() - before == QueryCounts(product=100, inverse=7)
+    G.product(g, g)
+    assert G.query_counts() - before == QueryCounts(product=101, inverse=7)
+
+
+def test_decoding_foreign_codes_keeps_nothing():
+    # S_8 under the same relabel seed names every permutation of 8 points by
+    # the code G would give it, so its elements outside G are codes that
+    # decode but that G never produced.  Decoding them stores nothing.
+    wreath = "perm:8:(1 2),(1 2 3 4),(1 5)(2 6)(3 7)(4 8)@seed=5"
+    G = make_group(parse_group_spec(wreath))
+    members = set(enumerate_closure(G, G.generators))
+    assert len(members) == len(G._code_to_rep) == len(G._rep_to_code) == 1152
+    S8 = make_group(parse_group_spec("perm:8:(1 2),(1 2 3 4 5 6 7 8)@seed=5"))
+    rng = Random(3)
+    foreign, code = set(), S8.identity
+    while len(foreign) < 1000:
+        code = S8.product(code, rng.choice(S8.generators))
+        if code not in members:
+            foreign.add(code)
+    for code in sorted(foreign):
+        assert sorted(G._decode(code)) == list(range(8))
+    assert len(G._code_to_rep) == len(G._rep_to_code) == 1152
 
 
 def test_query_meter_is_thread_local():

@@ -104,7 +104,7 @@ def test_readme_transcript_log_is_byte_identical(tmp_path):
         primes=(2, 3), trials=2000, seed=1, transcripts=str(log),
     ))
     digest = hashlib.sha256(log.read_bytes()).hexdigest()
-    assert digest == "eb0a826aad32ab8372e82616f86d21d32c9237d22ff4566bc2e1e71cfb183008"
+    assert digest == "5b2d22fe44e71a8dccd30617091f10a7345abb2b0d07256708ea42e58c4c5221"
 
 
 def test_transcript_log_is_written_as_trials_finish(tmp_path, monkeypatch):

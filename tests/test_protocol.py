@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import operator
 import time
 import weakref
 from enum import IntEnum
@@ -37,7 +38,7 @@ from orderproof import (
     verifier_finalize,
     verifier_setup_2msg,
 )
-from orderproof.groups import QueryMeter
+from orderproof.groups import QueryCounts, QueryMeter
 from orderproof.protocol import (
     ROWS_PER_CALL,
     VerifierState,
@@ -52,6 +53,7 @@ from orderproof.prover import PROVERS, Commitment
 
 
 S4 = "perm:4:(1 2),(1 2 3 4)"
+WREATH = "perm:8:(1 2),(1 2 3 4),(1 5)(2 6)(3 7)(4 8)"
 
 
 def _factory(name):
@@ -95,6 +97,68 @@ def test_challenge_carries_tower_in_2msg_only(group_for):
     _, transcript = run_protocol_3msg(G, _factory("honest"), 1)
     body = next(m.body for m in transcript.messages if m.kind == "challenge")
     assert "elements" not in body
+
+
+def _paid_rounds(state, challenge):
+    """Rounds whose secret bit is 1 and whose mask is not the identity."""
+    G = state.G
+    return sum(1 for s, x in zip(state.secret_bits, _masks(state, challenge))
+               if s and x != G.identity)
+
+
+@pytest.mark.parametrize("spec", [S4, WREATH])
+def test_challenge_pays_one_product_per_masked_round(group_for, spec):
+    # h^s * x costs a product only when s = 1 and x is not the identity.
+    G = group_for(spec)
+    primes = (2, 3)
+    get_chain(G, refine_with_primes(G, compute_pcgs(G), primes).elements)
+    for seed in (1, 2, 3):
+        meter = QueryMeter()
+        with meter.measuring():
+            state, challenge = verifier_setup_2msg(G, primes, seed)
+        paid = _paid_rounds(state, challenge)
+        assert 0 < paid < sum(state.secret_bits)
+        assert meter.snapshot() == QueryCounts(product=paid, inverse=0)
+
+
+def test_3msg_challenge_pays_one_product_per_masked_round(group_for):
+    G = group_for(S4)
+    c = honest_commitment(G)
+    chain = get_chain(G, c.elements)
+    for seed in (1, 2, 3):
+        meter = QueryMeter()
+        with meter.measuring():
+            state, masked = protocol_mod._issue_challenge(
+                G, chain, c.elements, c.primes, Random(seed))
+        paid = _paid_rounds(state, protocol_mod.Challenge(masked=masked))
+        assert meter.snapshot() == QueryCounts(product=paid, inverse=0)
+
+
+#: blake2b-128 of each honest run's challenge body, in canonical bytes, and
+#: the run's ``message_bytes()``.  A challenge round that skips its identity
+#: product must send the code the product would have returned.
+PINNED_CHALLENGES = {
+    (WREATH, "2msg", 1): ("6a8ccfa3f614b167909ea510cadb2712", 195783),
+    (WREATH, "2msg", 2): ("51082722a12b544dfa504a792375eee3", 195783),
+    (WREATH, "2msg", 3): ("4429a49abfacd3edd82a043975024421", 195783),
+    (WREATH, "2msg", 4): ("1d76f22b74c706988f5e92b87d4c9bd8", 195783),
+    (WREATH, "2msg", 5): ("c10073cc85f3be2446e2da1460bf1529", 195783),
+    (S4, "3msg", 1): ("002bec3663bc9bc82f5ab882a907a337", 347),
+    (S4, "3msg", 2): ("a6b5a2070971511a02f3ea4157c3a5f3", 347),
+    (S4, "3msg", 3): ("396653b1ae6d9777c6abeca569443eb9", 347),
+    (S4, "3msg", 4): ("ff78e6d7796ad12d964dcb4c58a786f1", 347),
+    (S4, "3msg", 5): ("3b3297ed11b31efb8ab1ab08416bc01b", 347),
+}
+
+
+@pytest.mark.parametrize("spec,protocol,seed", sorted(PINNED_CHALLENGES))
+def test_challenge_bytes_are_pinned(group_for, spec, protocol, seed):
+    G = group_for(spec)
+    _, transcript = _run(G, protocol, "honest", seed)
+    (challenge,) = [m for m in transcript.messages if m.kind == "challenge"]
+    body = protocol_mod.canonical_json_bytes(challenge_to_wire(challenge_from_wire(challenge.body)))
+    digest = hashlib.blake2b(body, digest_size=16).hexdigest()
+    assert (digest, transcript.message_bytes()) == PINNED_CHALLENGES[(spec, protocol, seed)]
 
 
 # -- commitment checking --------------------------------------------------------
@@ -663,18 +727,18 @@ def test_large_levels_draw_masks_from_the_table(group_for):
 #: the order in which each cheating round draws its random numbers; the
 #: seed-2 3-message order_forger run is accepted with the forged order 48.
 PINNED_S4_DIGESTS = {
-    ("2msg", "honest", 1): "6f538565ec25b82789fd1c92f765495f",
-    ("2msg", "honest", 2): "dfa8b28bc36c7b627651c3a4c867f94c",
-    ("2msg", "guess_inflate", 1): "e9ec09500acdc47d54fc99b9df956d15",
-    ("2msg", "guess_inflate", 2): "26fd9b2b2844b88628aebe61414e52e1",
-    ("3msg", "honest", 1): "364224727fc55a748c5fbab16e8994a2",
-    ("3msg", "honest", 2): "cdf6aa1b026a13dc8eeec616620e7ea3",
-    ("3msg", "guess_inflate", 1): "364224727fc55a748c5fbab16e8994a2",
-    ("3msg", "guess_inflate", 2): "cdf6aa1b026a13dc8eeec616620e7ea3",
-    ("2msg", "deflate", 1): "1b42a33a7bc6edbbed619e4cfb456381",
-    ("2msg", "order_forger", 1): "9ef2c7a66ca26e6163be7a332e10127b",
-    ("3msg", "order_forger", 1): "d9316a1aa792bb01f3c7e5fa3f32f7f8",
-    ("3msg", "order_forger", 2): "eb37c24597bc181f68cd799025196f0c",
+    ("2msg", "honest", 1): "27b5beeaef13c4a880ba84cffd894c8e",
+    ("2msg", "honest", 2): "5880432198eabac7f1349fe654e97e50",
+    ("2msg", "guess_inflate", 1): "c41deccdc2f6a0c56187fa8ed694f227",
+    ("2msg", "guess_inflate", 2): "b801fbcd69e8d6f8751ec23cfb45c1e4",
+    ("3msg", "honest", 1): "558c9e870462fba5e67f1f795550fdf6",
+    ("3msg", "honest", 2): "6ab03c871167e7aa23749131fe0fecf6",
+    ("3msg", "guess_inflate", 1): "558c9e870462fba5e67f1f795550fdf6",
+    ("3msg", "guess_inflate", 2): "6ab03c871167e7aa23749131fe0fecf6",
+    ("2msg", "deflate", 1): "0e9cad12821a825ffba4d6abde390c0b",
+    ("2msg", "order_forger", 1): "31aee273e467070da78beb2b9f337242",
+    ("3msg", "order_forger", 1): "8c2450e165c262158fa6410d705c0993",
+    ("3msg", "order_forger", 2): "fc57c386ecc8f03293b11c4c1d27b539",
 }
 
 
@@ -697,8 +761,8 @@ def test_transcript_digests_are_pinned(protocol, prover, seed):
 #: prover plays an inflated round: seed 1 aborts there on a wrong bit, seed 2
 #: is accepted with the inflated order 36.
 PINNED_C12_INFLATE_DIGESTS = {
-    1: "342178c0378d40102dce39a4f73cf37d",
-    2: "e78b8171c1343bb37ed8ecee9841965a",
+    1: "e7b64483dd98495ad7b2b01309bda097",
+    2: "f29b54d8756bad8342dc33367d770261",
 }
 
 
@@ -914,6 +978,67 @@ def test_canonical_bytes_of_deep_and_cyclic_values():
     cyclic["self"] = [cyclic]
     with pytest.raises(ValueError, match="Circular reference"):
         protocol_mod.canonical_json_bytes(cyclic)
+
+
+_int_entries = st.sampled_from([0] * 6 + [1, 2, -1]) | st.integers() | st.integers(min_value=2**64)
+_odd_entries = st.booleans() | st.sampled_from(_Small) | st.floats()
+_rows = st.lists(_int_entries, max_size=60) | st.lists(_int_entries | _odd_entries, max_size=6)
+#: Lists of rows of either kind, long ones made by repeating a few rows past
+#: ``ROWS_PER_CALL``, plus short lists that may hold a non-row.
+_row_lists = (
+    st.lists(_rows, min_size=1, max_size=5).map(lambda rs: rs * (ROWS_PER_CALL // len(rs) + 1))
+    | st.lists(_rows | st.integers(), max_size=3)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.recursive(
+    _row_lists,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=4,
+))
+def test_zero_run_rows_encode_as_json_dumps(value):
+    # Rows of exact ints are written by zero runs, any other row by the C
+    # encoder; the text is json.dumps's either way.
+    assert protocol_mod.canonical_json(value) == json.dumps(
+        value, sort_keys=True, separators=(",", ":"))
+
+
+def _parent_row_fault(row, length=None, primes=()):
+    """The row check as it was before it skipped zeros: every entry compared."""
+    if not isinstance(row, (tuple, list)):
+        return "not a sequence"
+    if length is not None and len(row) != length:
+        return "wrong length"
+    if set(map(type, row)) - {int} and any(not isinstance(a, int) or isinstance(a, bool) for a in row):
+        return "non-integer entry"
+    if primes and row and (min(row) < 0 or not all(map(operator.lt, row, primes))):
+        return "entry outside [0, r_j)"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_fault_matches_the_full_comparison(data):
+    primes = data.draw(st.lists(st.sampled_from([2, 3, 5, 7]), max_size=8))
+    entry = st.one_of(
+        st.sampled_from([0] * 4 + [1, -1, 2, 3, 7]),
+        st.integers(),
+        st.sampled_from(_Small),
+        st.booleans(),
+        st.floats(allow_nan=False),
+        st.none(),
+    )
+    if primes and data.draw(st.booleans()):
+        # Mostly in-range rows, some entry possibly equal to its r_j.
+        entry = st.integers(0, len(primes) - 1).flatmap(
+            lambda j: st.sampled_from([0, 0, primes[j] - 1, primes[j]]))
+    row = data.draw(st.lists(entry, max_size=10).map(tuple) | st.lists(entry, max_size=10)
+                    | st.sampled_from([None, 3, "ab", {}]))
+    length = data.draw(st.none() | st.integers(0, 10))
+    for args in ((row,), (row, length), (row, length, primes), (row, None, primes)):
+        assert protocol_mod._row_fault(*args) == _parent_row_fault(*args)
 
 
 @settings(max_examples=300, deadline=None)

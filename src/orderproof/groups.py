@@ -229,17 +229,21 @@ class _Relabeling:
     Each round XORs one half with a keyed hash of the other half; every
     round is an involution on its target half, so the composition is a
     bijection for any n >= 1 and is invertible by replaying rounds in
-    reverse.
+    reverse.  Even rounds XOR the low half with a hash of the high half,
+    odd rounds the high half with a hash of the low half; ``forward`` and
+    ``backward`` spell the four rounds out, in order and in reverse.
 
     Each round's hash is memoized per input half, one int-keyed dict per
-    round.  Only ``forward`` fills the memo, and the oracle calls it only
-    on an element its backend produced, once per element, so the memo
-    holds at most four entries per encoded element and at most 4·2^⌈n/2⌉
-    in all: 4·min(|G|, 2^⌈n/2⌉) while only elements of G are multiplied.
-    ``backward`` reads it but never adds, so decoding a code costs no
-    memo entry.  The memo pays on dense encodings, where |G| is far above
-    2^(n/2) and halves repeat: the 15-bit codes of cyclic:32768 need 768
-    round hashes, not 4·32768.
+    round.  Only ``forward(x, keep=True)`` fills the memo, and the oracle
+    asks for that only when it encodes an element it produced from codes
+    it produced, that is an element of G, once per element.  So the memo
+    holds at most four entries per element of G and at most
+    4·min(|G|, 2^⌈n/2⌉) in all.  ``backward``, and ``forward`` with
+    ``keep=False``, read it but never add, so decoding a code, or encoding
+    a product of a code the oracle did not produce, costs no memo entry.
+    The memo pays on dense encodings, where |G| is far above 2^(n/2) and
+    halves repeat: the 15-bit codes of cyclic:32768 need 768 round hashes,
+    not 4·32768.
     """
 
     ROUNDS = 4
@@ -254,16 +258,6 @@ class _Relabeling:
         self._half_bytes = (max(self.low_bits, self.high_bits) + 7) // 8 or 1
         self._memo: list[dict[int, int]] = [{} for _ in range(self.ROUNDS)]
 
-    def _round(self, r: int, value: int, fill: bool) -> int:
-        """Round r's hash of ``value``, memoized; ``fill`` adds a missing entry."""
-        memo = self._memo[r]
-        out = memo.get(value)
-        if out is None:
-            out = self._round_value(value, r, self.high_bits if r % 2 else self.low_bits)
-            if fill:
-                memo[value] = out
-        return out
-
     def _round_value(self, value: int, round_index: int, width: int) -> int:
         need = (width + 7) // 8 or 1
         data = value.to_bytes(self._half_bytes, "big")
@@ -276,21 +270,51 @@ class _Relabeling:
             block += 1
         return int.from_bytes(out[:need], "big") & ((1 << width) - 1)
 
-    def _apply(self, x: int, rounds: Iterable[int], fill: bool) -> int:
-        high = x >> self.low_bits
-        low = x & ((1 << self.low_bits) - 1)
-        for r in rounds:
-            if r % 2 == 0:
-                low ^= self._round(r, high, fill)
-            else:
-                high ^= self._round(r, low, fill)
-        return (high << self.low_bits) | low
-
-    def forward(self, x: int) -> int:
-        return self._apply(x, range(self.ROUNDS), True)
+    def forward(self, x: int, keep: bool = True) -> int:
+        """Rounds 0..3; ``keep`` stores each missing round hash in the memo."""
+        lb, hb = self.low_bits, self.high_bits
+        m0, m1, m2, m3 = self._memo
+        high, low = x >> lb, x & ((1 << lb) - 1)
+        f = m0.get(high)
+        if f is None:
+            f = self._round_value(high, 0, lb)
+            if keep:
+                m0[high] = f
+        low ^= f
+        f = m1.get(low)
+        if f is None:
+            f = self._round_value(low, 1, hb)
+            if keep:
+                m1[low] = f
+        high ^= f
+        f = m2.get(high)
+        if f is None:
+            f = self._round_value(high, 2, lb)
+            if keep:
+                m2[high] = f
+        low ^= f
+        f = m3.get(low)
+        if f is None:
+            f = self._round_value(low, 3, hb)
+            if keep:
+                m3[low] = f
+        high ^= f
+        return (high << lb) | low
 
     def backward(self, x: int) -> int:
-        return self._apply(x, reversed(range(self.ROUNDS)), False)
+        """Rounds 3..0, reading the memo and never adding to it."""
+        lb, hb = self.low_bits, self.high_bits
+        m0, m1, m2, m3 = self._memo
+        high, low = x >> lb, x & ((1 << lb) - 1)
+        f = m3.get(low)
+        high ^= self._round_value(low, 3, hb) if f is None else f
+        f = m2.get(high)
+        low ^= self._round_value(high, 2, lb) if f is None else f
+        f = m1.get(low)
+        high ^= self._round_value(low, 1, hb) if f is None else f
+        f = m0.get(high)
+        low ^= self._round_value(high, 0, lb) if f is None else f
+        return (high << lb) | low
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +377,11 @@ class GroupOracle:
     the tallies, including those of threads that have exited.  A code the
     oracle produced maps to its element and back through two dicts, which
     ``product`` and ``inverse`` read inline; a code it did not produce is
-    validated and decoded on every use and never stored.  The oracle also
+    validated and decoded on every use and never stored.  Nor is a product
+    or inverse with such an operand: its code is computed as for any
+    element, and returned, but neither dict nor the relabeling's round memo
+    keeps it.  So everything stored lies in G: the identity, the
+    generators, and products and inverses of stored codes.  The oracle also
     owns ``precomputed``: the store where ``memoized`` keeps the
     deterministic precomputation of this group (order, pcgs, refinements,
     normal-form tables, the honest commitment).  It lives and dies with the
@@ -377,15 +405,17 @@ class GroupOracle:
 
     # -- encoding ----------------------------------------------------------
 
-    def _encode(self, rep) -> ElementCode:
+    def _encode(self, rep, keep: bool = True) -> ElementCode:
+        """The code of ``rep``; ``keep`` stores a new one, with its round hashes."""
         code = self._rep_to_code.get(rep)
         if code is None:
             x = self._backend.rep_to_int(rep)
             if self._relabel is not None:
-                x = self._relabel.forward(x)
+                x = self._relabel.forward(x, keep)
             code = x.to_bytes(self._code_width, "big")
-            self._rep_to_code[rep] = code
-            self._code_to_rep[code] = rep
+            if keep:
+                self._rep_to_code[rep] = code
+                self._code_to_rep[code] = rep
         return code
 
     def _decode(self, code: ElementCode):
@@ -434,11 +464,12 @@ class GroupOracle:
             meter["product"] += 1
         reps = self._code_to_rep
         a = reps.get(g)
-        if a is None:
-            a = self._decode(g)
         b = reps.get(h)
-        if b is None:
-            b = self._decode(h)
+        if a is None or b is None:
+            # An operand the oracle did not produce: its product is not kept.
+            a = self._decode(g) if a is None else a
+            b = self._decode(h) if b is None else b
+            return self._encode(self._backend.multiply(a, b), False)
         rep = self._backend.multiply(a, b)
         code = self._rep_to_code.get(rep)
         return self._encode(rep) if code is None else code
@@ -454,7 +485,7 @@ class GroupOracle:
             meter["inverse"] += 1
         a = self._code_to_rep.get(g)
         if a is None:
-            a = self._decode(g)
+            return self._encode(self._backend.invert(self._decode(g)), False)
         rep = self._backend.invert(a)
         code = self._rep_to_code.get(rep)
         return self._encode(rep) if code is None else code
@@ -559,8 +590,11 @@ def extend_closure(
     whole as h·r over h in H, with r itself in the identity row, so a coset
     costs |H| - 1 products.  The cosets are found as r·s for a coset
     representative r and a generator s, one product per generator per
-    coset; H need not be normal.  When H is trivial this lists the powers
-    of g, one product each.  Returns whether g was new.  Raises
+    coset; H need not be normal.  When H is trivial the cosets are the
+    single powers g, g², …, so the loop lists them directly, g^(a+1) as
+    g^a·g: one product and two appends per element, the same products in
+    the same order as the coset loop, and the last product the identity
+    that closes the list.  Returns whether g was new.  Raises
     ClosureOverflowError before a coset would take the list past ``cap``
     elements, that is exactly when the new subgroup has more than ``cap``.
     """
@@ -568,6 +602,15 @@ def extend_closure(
         return False
     gens.append(g)
     size = len(elements)
+    if size == 1:
+        append, add, x = elements.append, members.add, g
+        while x not in members:
+            if len(elements) >= cap:
+                raise ClosureOverflowError(f"subgroup closure exceeded cap of {cap} elements")
+            append(x)
+            add(x)
+            x = G.product(x, g)
+        return True
     subgroup = elements[1:]
 
     def add_coset(r: ElementCode) -> None:

@@ -401,6 +401,58 @@ def test_counts_of_exited_threads_remain():
     assert G.query_counts() - before == QueryCounts(product=101, inverse=7)
 
 
+def _coset_loop(G, elements, members, gens, g, cap):
+    """Dimino's coset loop for any subgroup H, the reference for the trivial-H path."""
+    if g in members:
+        return False
+    gens.append(g)
+    size = len(elements)
+    subgroup = elements[1:]
+
+    def add_coset(r):
+        if len(elements) + size > cap:
+            raise ClosureOverflowError(f"subgroup closure exceeded cap of {cap} elements")
+        coset = [r] + [G.product(h, r) for h in subgroup]
+        elements.extend(coset)
+        members.update(coset)
+
+    add_coset(g)
+    rep = size
+    while rep < len(elements):
+        r = elements[rep]
+        for s in gens:
+            t = G.product(r, s)
+            if t not in members:
+                add_coset(t)
+        rep += size
+    return True
+
+
+@pytest.mark.parametrize("spec", ["cyclic:12@seed=3", "perm:4:(1 2),(1 2 3 4)@seed=5"])
+def test_powers_of_one_element_match_the_coset_loop(spec):
+    # From the trivial subgroup, extend_closure lists g, g^2, ... with one
+    # product each; the list, the queries and the overflow point are the
+    # coset loop's.
+    G = make_group(parse_group_spec(spec))
+    for g in enumerate_closure(G, G.generators):
+        powers = [G.identity]
+        _coset_loop(G, powers, {G.identity}, [], g, 10**6)
+        order = len(powers)
+        expected = g != G.identity
+        for cap in (order, order - 1, 2, 1):
+            runs = []
+            for grow in (extend_closure, _coset_loop):
+                elements, members, gens = [G.identity], {G.identity}, []
+                before = G.query_counts()
+                try:
+                    result = grow(G, elements, members, gens, g, cap)
+                except ClosureOverflowError:
+                    result = "overflow"
+                runs.append((result, elements, members, gens, G.query_counts() - before))
+            assert runs[0] == runs[1]
+            assert runs[0][0] == ("overflow" if expected and cap < order else expected)
+
+
 def test_decoding_foreign_codes_keeps_nothing():
     # S_8 under the same relabel seed names every permutation of 8 points by
     # the code G would give it, so its elements outside G are codes that
@@ -419,6 +471,25 @@ def test_decoding_foreign_codes_keeps_nothing():
     for code in sorted(foreign):
         assert sorted(G._decode(code)) == list(range(8))
     assert len(G._code_to_rep) == len(G._rep_to_code) == 1152
+    # Products and inverses of S4's codes in D4, under the same relabel
+    # seed: the codes are S4's, and D4 keeps none of them, nor their
+    # round hashes, so the round memo stays within 4 per element of D4.
+    D4 = make_group(parse_group_spec("perm:4:(1 2 3 4),(1 3)@seed=5"))
+    d4 = set(enumerate_closure(D4, D4.generators))
+    S4 = make_group(parse_group_spec("perm:4:(1 2),(1 2 3 4)@seed=5"))
+    s4 = enumerate_closure(S4, S4.generators)
+    assert len(d4) == 8 and d4 < set(s4)
+
+    def stores():
+        return len(D4._rep_to_code), len(D4._code_to_rep), _memo_entries(D4)
+
+    stored = stores()
+    for x in s4:
+        assert D4.inverse(x) == S4.inverse(x)
+        for y in s4:
+            assert D4.product(x, y) == S4.product(x, y)
+    assert stores() == stored
+    assert stored[0] == 8 and stored[2] <= 4 * 8
 
 
 def test_query_meter_is_thread_local():

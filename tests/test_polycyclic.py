@@ -1,5 +1,6 @@
 import hashlib
 import math
+from random import Random
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from orderproof import (
     NotSolvableError,
     PolycyclicSequence,
     ProverError,
+    QueryCounts,
     RefinementError,
     SubgroupChain,
     build_commitment,
@@ -32,7 +34,9 @@ from orderproof import (
 from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
 from orderproof.polycyclic import (
     MILLER_RABIN_EXACT_BELOW,
+    _built_chain,
     _conjugation_closure,
+    _derived_series,
     get_chain_view,
     is_prime,
 )
@@ -566,6 +570,7 @@ def test_compacted_chain_is_a_view_of_the_refined_chain(spec, primes):
     fresh = SubgroupChain(G, tower.elements)
     assert chain.quotient_orders == fresh.quotient_orders
     assert chain.group_order() == fresh.group_order()
+    assert chain.level_elements(len(chain)) == fresh.level_elements(len(fresh))
     top = fresh.level_elements(len(fresh))
     probes = top[:: max(1, len(top) // 512)]
     for j in range(len(chain) + 1):
@@ -576,12 +581,14 @@ def test_compacted_chain_is_a_view_of_the_refined_chain(spec, primes):
 
 
 def test_a_tower_that_adds_codes_elsewhere_gets_its_own_table():
-    # (6, 9, 3, 1) in Z/12: the tower (1,) would put g at index 1, where
-    # the refined table holds 6, so it is no view.
+    # (6, 9, 3, 1) in Z/12: g = 1 is the pure power of the table's last
+    # block, at index 4, but the tower (1,) would start that block before
+    # the level below it, <6, 9>, is full, so it is no view.
     G = make_group(parse_group_spec("cyclic:12"))
     full = get_chain(G, compact_tower(G, refine_with_primes(G, compute_pcgs(G), (2, 3))).elements)
     g = G.generators[0]
     assert full.view((g,)) is None
+    assert full.view((G.identity, g)) is None
     assert full.view((b"\xff",)) is None
     chain = get_chain_view(G, (g,), full)
     assert chain._codes is not full._codes
@@ -596,3 +603,164 @@ def test_a_tower_that_adds_codes_elsewhere_gets_its_own_table():
     assert prefix.view(full.elements) is None
     assert prefix.view((nine, six)) is None
     assert prefix.view((six, nine)).quotient_orders == (2, 2)
+
+
+# -- views by index arithmetic -----------------------------------------------------
+
+def _assert_same_chain(chain, fresh):
+    """``chain`` lists ``fresh``'s codes in its order, with its levels and digits."""
+    assert chain.elements == fresh.elements
+    assert chain.quotient_orders == fresh.quotient_orders
+    assert chain.level_elements(len(chain)) == fresh.level_elements(len(fresh))
+    top = fresh.level_elements(len(fresh))
+    probes = top[:: max(1, len(top) // 256)]
+    for j in range(len(chain) + 1):
+        assert chain.level_order(j) == fresh.level_order(j)
+        for h in probes:
+            assert chain.is_member(j, h) == fresh.is_member(j, h)
+            assert chain.decompose(j, h) == fresh.decompose(j, h)
+
+
+#: (spec, primes, the table the refined tower's view takes).  cyclic:32768
+#: splits its block of order 16384 into 2-steps, cyclic:4096 its only
+#: block, c3xc9 its block of order 9 into two 3-steps; S4's refined tower
+#: takes each block whole and shares the pcgs table.
+PURE_REFINED_CASES = [
+    ("cyclic:32768@seed=7", (2,), "own"),
+    ("cyclic:4096", (2,), "own"),
+    ("direct:cyclic:3,cyclic:9", (3,), "own"),
+    (get_fixture("s4").spec, get_fixture("s4").primes, "shared"),
+]
+
+
+@pytest.mark.parametrize("spec,primes,table", PURE_REFINED_CASES)
+def test_refined_view_matches_a_chain_built_from_scratch(spec, primes, table):
+    G = make_group(parse_group_spec(spec))
+    pcgs = compute_pcgs(G)
+    source = _built_chain(G, pcgs.elements)
+    refined = refine_with_primes(G, pcgs, primes)
+    chain = get_chain(G, refined.elements)
+    assert (chain._codes is source._codes) == (table == "shared")
+    assert (chain._index is source._index) == (table == "shared")
+    _assert_same_chain(chain, SubgroupChain(G, refined.elements))
+    _assert_same_chain(source.view(refined.elements), chain)
+
+
+def test_pure_refinement_makes_only_its_power_queries():
+    # Each block is computed backwards from k by squarings, one product per
+    # square of an element other than the identity; the table costs none.
+    G = make_group(parse_group_spec("cyclic:32768@seed=7"))
+    pcgs = compute_pcgs(G)
+    group_order(G)
+    before = G.query_counts()
+    refined = refine_with_primes(G, pcgs, (2,))
+    n = G.encoding_length
+    blocks = [refined.elements[i:i + n] for i in range(0, len(refined), n)]
+    squarings = sum(h != G.identity for block in blocks for h in block[1:])
+    assert G.query_counts() - before == QueryCounts(product=squarings)
+    assert squarings == 28
+
+
+#: Refined towers that are not pure: a power with lower digits, or one
+#: whose exponent does not divide the step before it.  S4 wr C2 carries
+#: the benchmark's relabeling; without it, its refined tower is pure.
+IMPURE_REFINED_CASES = [
+    ("cyclic:32768@seed=7", (2, 3)),
+    ("perm:8:(1 2),(1 2 3 4),(1 5)(2 6)(3 7)(4 8)@seed=10819181988376914608", (2, 3)),
+]
+
+
+@pytest.mark.parametrize("spec,primes", IMPURE_REFINED_CASES)
+def test_impure_refined_tower_gets_its_own_table(spec, primes):
+    G = make_group(parse_group_spec(spec))
+    pcgs = compute_pcgs(G)
+    source = _built_chain(G, pcgs.elements)
+    refined = refine_with_primes(G, pcgs, primes)
+    assert source.view(refined.elements) is None
+    chain = get_chain(G, refined.elements)
+    assert chain._codes is not source._codes
+    assert chain.quotient_orders == refined.quotient_orders
+
+
+def _divisor_steps(m, rng):
+    """A chain m > d_1 > ... > 1 of exponents, each dividing the one before."""
+    steps, s = [], m
+    while s > 1:
+        s = rng.choice([d for d in range(1, s) if s % d == 0])
+        steps.append(s)
+    return steps
+
+
+def _pure_tower(G, source, rng):
+    """A random tower ``source.view`` must accept: pure powers block by block."""
+    tower, base = [], 1
+    blocks = [m for _, m in source._radices]
+    for m in blocks[: rng.randint(1, len(blocks))]:
+        for power in _divisor_steps(m, rng):
+            while rng.random() < 0.3:
+                level = SubgroupChain(G, tower).level_elements(len(tower))
+                tower.append(rng.choice(level))
+            tower.append(source.level_element(len(source), power * base))
+        base *= m
+    return tuple(tower)
+
+
+@pytest.mark.parametrize("spec", [
+    "perm:4:(1 2),(1 2 3 4)@seed=5",
+    "cyclic:72@seed=3",
+    "direct:cyclic:8,cyclic:9@seed=4",
+    "direct:cyclic:3,cyclic:9",
+])
+def test_views_of_random_towers_match_chains_built_from_scratch(spec):
+    G = make_group(parse_group_spec(spec))
+    source = _built_chain(G, compute_pcgs(G).elements)
+    everything = source.level_elements(len(source))
+    rng = Random(11)
+    own = 0
+    for _ in range(60):
+        tower = _pure_tower(G, source, rng)
+        chain = source.view(tower)
+        assert chain is not None
+        _assert_same_chain(chain, SubgroupChain(G, tower))
+        own += chain._codes is not source._codes
+        # Any other element in any place: a view, when there is one, must
+        # still be the chain built from scratch.
+        spoiled = list(tower)
+        spoiled[rng.randrange(len(spoiled))] = rng.choice(everything)
+        chain = source.view(spoiled)
+        if chain is not None:
+            _assert_same_chain(chain, SubgroupChain(G, spoiled))
+    # A block of composite order can be split, and then the view lists codes
+    # in an order of its own.
+    assert own or all(is_prime(m) for _, m in source._radices)
+
+
+# -- pcgs candidate order -------------------------------------------------------------
+
+def _sorted_scan_pcgs(G):
+    """The pcgs selection by a sorted scan of each layer, the reference for the heap."""
+    series = _derived_series(G)
+    chain = SubgroupChain(G, ())
+    for layer in reversed(series):
+        for candidate in sorted(layer):
+            if chain.group_order() == len(layer):
+                break
+            if not chain.is_member(len(chain), candidate):
+                chain._append(candidate)
+    return chain.elements, chain.quotient_orders
+
+
+HEAP_SPECS = [
+    *(get_fixture(name).spec for name in PROTOCOL_FIXTURES),
+    "perm:8:(1 2),(1 2 3 4),(1 5)(2 6)(3 7)(4 8)",
+    C2_WREATH_4.split("@")[0],
+    "cyclic:32768",
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("spec", HEAP_SPECS)
+def test_heap_selection_matches_the_sorted_scan(spec, seed):
+    G = make_group(parse_group_spec(f"{spec}@seed={seed}"))
+    pcgs = compute_pcgs(G)
+    assert (pcgs.elements, pcgs.quotient_orders) == _sorted_scan_pcgs(G)

@@ -13,7 +13,9 @@ built on top of the two oracles and inherit their query accounting.  A
 closure is listed by Dimino's algorithm (G. Butler, *Fundamental Algorithms
 for Permutation Groups*, LNCS 559, 1991): the subgroup grows by one
 generator at a time, by whole cosets of the subgroup so far, at about one
-product per element and no inverse.
+product per element and no inverse.  The oracle's per-thread tally is
+the one query counter; ``QueryMeter`` reads it, less the set-up that
+``memoized`` amortizes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import hashlib
 import re
 import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Any, Callable, Iterable, Sequence, TypeVar, Union
@@ -336,31 +337,32 @@ class QueryCounts:
         return QueryCounts(self.product - other.product, self.inverse - other.inverse)
 
 
-_active_meter: ContextVar[dict | None] = ContextVar("orderproof_query_meter", default=None)
-
-
 class QueryMeter:
-    """Context-local collector of oracle queries issued while measuring.
+    """Per-execution query counts, read from the oracle's one counter.
 
-    Unlike the oracle's counts, which sum every thread's calls, a meter
-    only sees queries made in the context (thread/task) that activated it,
-    so parallel executions sharing one oracle keep independent
-    per-execution counts.
+    Over each ``measuring()`` block the meter adds the calling thread's
+    tally delta less its amortized delta (see ``memoized``), so parallel
+    executions sharing one oracle keep independent per-execution counts.
+    ``snapshot()`` reads the blocks that have ended.
     """
 
-    def __init__(self):
-        self.counts = {"product": 0, "inverse": 0}
+    def __init__(self, G: GroupOracle):
+        self.G = G
+        self.counts = [0, 0]
 
     @contextmanager
     def measuring(self):
-        token = _active_meter.set(self.counts)
+        tally = self.G._tally()
+        start = tally[:]
         try:
             yield self
         finally:
-            _active_meter.reset(token)
+            counts = self.counts
+            counts[0] += tally[0] - start[0] - (tally[2] - start[2])
+            counts[1] += tally[1] - start[1] - (tally[3] - start[3])
 
     def snapshot(self) -> QueryCounts:
-        return QueryCounts(self.counts["product"], self.counts["inverse"])
+        return QueryCounts(*self.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +375,10 @@ class GroupOracle:
     Exposes the encoding length (bits), the generator codes, the identity
     code, and the two counting oracles.  Each thread that calls an oracle
     counts its calls in a tally of its own, registered once under a lock,
-    so a call bumps a list entry and takes no lock; ``query_counts()`` sums
-    the tallies, including those of threads that have exited.  A code the
-    oracle produced maps to its element and back through two dicts, which
+    so a call bumps one list entry and takes no lock.  A tally holds
+    [products, inverses, amortized products, amortized inverses];
+    ``query_counts()`` sums the first two over every thread, exited ones
+    included.  A code the oracle produced maps to its element and back through two dicts, which
     ``product`` and ``inverse`` read inline; a code it did not produce is
     validated and decoded on every use and never stored.  Nor is a product
     or inverse with such an operand: its code is computed as for any
@@ -397,7 +400,7 @@ class GroupOracle:
         self._rep_to_code: dict = {}
         self._code_to_rep: dict = {}
         self._lock = threading.Lock()
-        self._tallies: list[list[int]] = []  # one [products, inverses] per thread
+        self._tallies: list[list[int]] = []  # one tally per thread, see the class docstring
         self._local = threading.local()
         self.precomputed: dict[tuple, Any] = {}
         self.identity = self._encode(backend.identity_rep())
@@ -437,11 +440,11 @@ class GroupOracle:
     # -- counting ----------------------------------------------------------
 
     def _tally(self) -> list[int]:
-        """This thread's [products, inverses] tally, registered on first use."""
+        """This thread's tally, registered on first use."""
         try:
             return self._local.tally
         except AttributeError:
-            tally = self._local.tally = [0, 0]
+            tally = self._local.tally = [0, 0, 0, 0]
             with self._lock:
                 self._tallies.append(tally)
             return tally
@@ -459,9 +462,6 @@ class GroupOracle:
             self._local.tally[0] += 1
         except AttributeError:
             self._tally()[0] += 1
-        meter = _active_meter.get()
-        if meter is not None:
-            meter["product"] += 1
         reps = self._code_to_rep
         a = reps.get(g)
         b = reps.get(h)
@@ -480,9 +480,6 @@ class GroupOracle:
             self._local.tally[1] += 1
         except AttributeError:
             self._tally()[1] += 1
-        meter = _active_meter.get()
-        if meter is not None:
-            meter["inverse"] += 1
         a = self._code_to_rep.get(g)
         if a is None:
             return self._encode(self._backend.invert(self._decode(g)), False)
@@ -519,12 +516,22 @@ def memoized(G: GroupOracle, key: tuple, build: Callable[[], T]) -> T:
     """``build()`` computed once per oracle and key, kept in ``G.precomputed``.
 
     Only deterministic results belong here; a raised exception is not kept.
+    Set-up is amortized: every query a build makes, whether it returns or
+    raises, nested builds' included and counted once, goes to the
+    amortized slots of this thread's tally, which no ``QueryMeter`` counts.
     """
     try:
         return G.precomputed[key]
     except KeyError:
+        pass
+    tally = G._tally()
+    start = tally[:]
+    try:
         value = G.precomputed[key] = build()
-        return value
+    finally:
+        tally[2] = start[2] + tally[0] - start[0]
+        tally[3] = start[3] + tally[1] - start[1]
+    return value
 
 
 def make_group(spec: ConcreteGroupSpec) -> GroupOracle:

@@ -88,24 +88,22 @@ MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test in bounded time below 2^81.
+    """Exact primality test in bounded time, below ``MILLER_RABIN_EXACT_BELOW``.
 
-    Deterministic Miller-Rabin below ``MILLER_RABIN_EXACT_BELOW``, so a
-    committed prime of up to 81 bits costs thirteen modular exponentiations;
-    trial division remains only at or above that bound.
+    Deterministic Miller-Rabin, so a number of up to 81 bits costs thirteen
+    modular exponentiations.  Raises ValueError at or above the bound,
+    where the test is no longer exact: no caller may then wait on trial
+    division, whatever number a prover or a user sends.
     """
+    if n >= MILLER_RABIN_EXACT_BELOW:
+        raise ValueError(
+            f"{n} is at or above {MILLER_RABIN_EXACT_BELOW}, the bound of exact primality tests"
+        )
     if n < 2:
         return False
     for p in MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
-    if n >= MILLER_RABIN_EXACT_BELOW:
-        d = MILLER_RABIN_BASES[-1] + 2
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for a in MILLER_RABIN_BASES:
@@ -340,22 +338,17 @@ class SubgroupChain:
         return tuple(row)
 
 
-def get_chain(G: GroupOracle, elements: Sequence[ElementCode]) -> SubgroupChain:
-    """Memoized SubgroupChain lookup (chains are never changed once built)."""
-    elements = tuple(elements)
-    return memoized(G, ("chain", elements), lambda: SubgroupChain(G, elements))
-
-
-def get_chain_view(
-    G: GroupOracle, elements: Sequence[ElementCode], source: SubgroupChain | None
+def get_chain(
+    G: GroupOracle, elements: Sequence[ElementCode], source: SubgroupChain | None = None
 ) -> SubgroupChain:
-    """``get_chain(G, elements)``, built from ``source``'s table when the tower allows.
+    """The memoized SubgroupChain of ``elements`` (never changed once built).
 
-    A tower that ``SubgroupChain.view`` accepts costs no query: it shares
-    ``source``'s table when each of its steps takes a whole block of
-    ``source``, and otherwise gets a table of its own listed by index
-    arithmetic on ``source``'s.  Any other tower, or any tower when
-    ``source`` is None, gets a table of its own built by coset steps.
+    The one accessor of a tower's table.  On a miss the table is built
+    from ``source``'s when ``SubgroupChain.view`` accepts the tower, at no
+    query: it shares ``source``'s table when each of its steps takes a
+    whole block of ``source``, and otherwise gets a table of its own listed
+    by index arithmetic on ``source``'s.  Any other tower, or any tower
+    when ``source`` is None, gets a table of its own built by coset steps.
     """
     elements = tuple(elements)
 
@@ -364,11 +357,6 @@ def get_chain_view(
         return view or SubgroupChain(G, elements)
 
     return memoized(G, ("chain", elements), build)
-
-
-def _built_chain(G: GroupOracle, elements: Sequence[ElementCode]) -> SubgroupChain | None:
-    """The memoized chain of ``elements``, or None when none is built yet."""
-    return G.precomputed.get(("chain", tuple(elements)))
 
 
 def _group_elements(G: GroupOracle) -> list[ElementCode]:
@@ -532,10 +520,10 @@ def refine_with_primes(
     Requires ``primes`` to cover every prime factor of the group order: the
     result is validated, through the memoized normal-form table of the
     whole tower, against the quotient-order invariant and the enumerated
-    group order, and a violation raises RefinementError.  That table comes
-    from the pcgs chain's by ``SubgroupChain.view`` when the refined tower
-    is pure: each refined element k^e lies in the level before it, or is
-    a power k^B with no lower digit whose B divides the step before it.
+    group order, and a violation raises RefinementError.  ``get_chain``
+    takes that table from the pcgs chain's by ``SubgroupChain.view`` when
+    the refined tower is pure: each refined element k^e lies in the level
+    before it, or is a power k^B with no lower digit whose B divides the step before it.
     Then the table costs no query, and the refinement costs only its power
     queries (40 on the benchmark's cyclic:32768, against 32,807 with a
     table built by coset steps).  Under one prime p, on a p-group as the
@@ -565,7 +553,7 @@ def refine_with_primes(
             elements.extend(reversed(block))
         attached = [ordered[0], *ratios] * len(pcgs.elements)
 
-        chain = get_chain_view(G, elements, _built_chain(G, pcgs.elements))
+        chain = get_chain(G, elements, get_chain(G, pcgs.elements))
         orders = chain.quotient_orders
         for i, (m, r) in enumerate(zip(orders, attached)):
             if m not in (1, r):
@@ -590,7 +578,7 @@ def refine_with_primes(
 def compact_tower(G: GroupOracle, seq: PolycyclicSequence) -> PolycyclicSequence:
     """Drop every position whose element is the identity or repeats an earlier one.
 
-    Uses code equality only, so it makes no oracle query.  A dropped
+    Keeps positions by code equality alone.  A dropped
     element already lies in its prefix subgroup, so its quotient order is
     1; every kept position sees the same prefix subgroup as before, so the
     kept elements, attached primes and quotient orders keep their values
@@ -598,10 +586,10 @@ def compact_tower(G: GroupOracle, seq: PolycyclicSequence) -> PolycyclicSequence
     rounds an adversary could try to inflate are dropped, never one that
     carries a factor of the order.
 
-    The coset step adds no code at a dropped position, so when ``seq``'s
-    chain is already memoized (``refine_with_primes`` builds it) the
-    compacted tower's chain is memoized as a view of it
-    (``SubgroupChain.view``): the two towers share one normal-form table.
+    The coset step adds no code at a dropped position, so ``get_chain``
+    memoizes the compacted tower's chain as a view of ``seq``'s, at no
+    query once ``seq``'s is built (``refine_with_primes`` builds it): the
+    two towers share one normal-form table.
     """
     seen = {G.identity}
     kept = []
@@ -614,7 +602,5 @@ def compact_tower(G: GroupOracle, seq: PolycyclicSequence) -> PolycyclicSequence
         return None if values is None else tuple(values[i] for i in kept)
 
     tower = PolycyclicSequence(pick(seq.elements), pick(seq.primes), pick(seq.quotient_orders))
-    source = _built_chain(G, seq.elements)
-    if source is not None:
-        get_chain_view(G, tower.elements, source)
+    get_chain(G, tower.elements, get_chain(G, seq.elements))
     return tower

@@ -24,10 +24,11 @@ the nonzero entries only, and their zeros are scanned by builtins in C.
 
 Every execution is seeded and reproducible: transcripts carry the full
 message log in a canonical JSON form, so identical seeds yield
-byte-identical transcripts.  Per-execution query counters cover the
+byte-identical transcripts.  A run's ``QueryMeter`` covers the
 verifier's interactive work (commitment checking, challenge masking,
 response evaluation); deterministic precomputation shared across runs
-(normal-form tables, the honest commitment) is amortized and excluded.
+(pcgs, refinement, tables, the honest commitment) is ``memoized``, so
+amortized and excluded, whichever run builds it.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ from .groups import (
     InvalidCodeError,
     QueryCounts,
     QueryMeter,
-    eval_word,
     product_of_powers,
 )
 from .polycyclic import (
+    MILLER_RABIN_EXACT_BELOW,
     ChainError,
     NotSolvableError,
     RefinementError,
@@ -394,7 +395,6 @@ class VerifierState:
     G: GroupOracle
     elements: tuple[ElementCode, ...]
     primes: tuple[int, ...]  # r_j, attached to position j: the exponent bound there
-    chain: SubgroupChain
     secret_bits: tuple[int, ...]
 
 
@@ -408,7 +408,7 @@ def _issue_challenge(
     """Draw per-round secret bits and masks; return the state and the masked elements.
 
     Round i's mask x is a uniform element of level i-1 from the tower's
-    normal-form table, which the amortized warm-up builds, so a draw makes
+    normal-form table, built once per tower and amortized, so a draw makes
     no oracle query: the simulator's stand-in for the paper's sampler.  The
     masked element h_i^s·x costs one product only when s = 1 and x is not
     the identity; otherwise it is x (s = 0) or h_i (x the identity).  Both
@@ -424,7 +424,7 @@ def _issue_challenge(
         x = chain.level_element(i, rng.randrange(chain.level_order(i)))
         bits.append(s)
         masked.append(x if not s else h if x == identity else G.product(h, x))
-    return VerifierState(G, tuple(elements), tuple(primes), chain, tuple(bits)), tuple(masked)
+    return VerifierState(G, tuple(elements), tuple(primes), tuple(bits)), tuple(masked)
 
 
 def verifier_setup_2msg(
@@ -434,8 +434,9 @@ def verifier_setup_2msg(
 ) -> tuple[VerifierState, Challenge]:
     """Build the refined tower and issue the 2-message challenge.
 
-    Raises NotSolvableError or RefinementError when the tower cannot be
-    built; runners convert that into an abort before anything is sent.
+    Raises NotSolvableError, RefinementError or ClosureOverflowError when
+    the tower cannot be built; runners convert that into an abort before
+    anything is sent.
     """
     refined = refine_with_primes(G, compute_pcgs(G), primes)
     chain = get_chain(G, refined.elements)
@@ -478,11 +479,13 @@ def verifier_check_commitment(
         return "primes list length does not match the committed sequence"
     if any(not isinstance(code, bytes) for code in commitment.elements):
         return "committed element codes must be byte strings"
-    # Quotient orders divide |G| <= 2^n, so a larger "prime" is rejected
-    # before the primality test, which is bounded in time only below 2^81.
+    # Quotient orders divide |G| <= 2^n, and the primality test is exact
+    # only below about 2^81, so a larger "prime" is rejected before it.
     for r in commitment.primes:
         if not isinstance(r, int) or isinstance(r, bool) or r > 1 << n:
             return f"committed value {r!r} is not a prime up to 2^n"
+        if r >= MILLER_RABIN_EXACT_BELOW:
+            return f"committed value {r!r} is at or above the primality bound"
         if not is_prime(r):
             return f"committed value {r!r} is not a prime"
 
@@ -503,23 +506,25 @@ def verifier_check_commitment(
         if fault is not None:
             return f"malformed {table} decomposition row: {fault}"
 
+    # ``_row_fault`` checked each row's length, so zip stops at its prefix.
     h = commitment.elements
     try:
         for g, row in zip(generators, commitment.generator_exponents):
-            if eval_word(G, h, row) != g:
+            if product_of_powers(G, compress(zip(h, row), row)) != g:
                 return "a group generator does not decompose over the committed tower"
         if t >= 1 and G.power(h[0], commitment.primes[0]) != G.identity:
             return "first element's prime power is not the identity"
         for i in range(2, t + 1):
             lhs = G.power(h[i - 1], commitment.primes[i - 1])
-            if eval_word(G, h[: i - 1], commitment.power_exponents[i - 2]) != lhs:
+            row = commitment.power_exponents[i - 2]
+            if product_of_powers(G, compress(zip(h, row), row)) != lhs:
                 return f"prime power of element {i} does not match its decomposition"
         for i in range(2, t + 1):
             h_inv = G.inverse(h[i - 1])
             for l in range(1, i):
                 conj = G.product(G.product(h[i - 1], h[l - 1]), h_inv)
                 row = commitment.conjugate_exponents[i - 2][l - 1]
-                if eval_word(G, h[: i - 1], row) != conj:
+                if product_of_powers(G, compress(zip(h, row), row)) != conj:
                     return f"conjugate of element {l} by element {i} fails its decomposition"
     except InvalidCodeError as exc:
         return f"committed element code is invalid: {exc}"
@@ -611,19 +616,14 @@ def run_protocol_2msg(
     transcript = Transcript(protocol="2msg", seed=seed)
     rng_verifier = Random(derive_seed(seed, "verifier"))
     rng_prover = Random(derive_seed(seed, "prover"))
-    meter = QueryMeter()
+    meter = QueryMeter(G)
 
-    # Warm the deterministic tower shared by every run of this (G, primes)
-    # configuration, so per-run counters are replay-independent.
     try:
-        refined = refine_with_primes(G, compute_pcgs(G), primes)
-        get_chain(G, refined.elements)
+        with meter.measuring():
+            state, challenge = verifier_setup_2msg(G, primes, rng_verifier)
     except (NotSolvableError, RefinementError, ClosureOverflowError) as exc:
         reason = f"verifier tower construction failed: {exc}"
         return _finish(transcript, meter, Outcome.abort(reason))
-
-    with meter.measuring():
-        state, challenge = verifier_setup_2msg(G, primes, rng_verifier)
     return _rounds(transcript, meter, state, challenge, prover_factory(G, rng_prover))
 
 
@@ -640,7 +640,7 @@ def run_protocol_3msg(
     transcript = Transcript(protocol="3msg", seed=seed)
     rng_verifier = Random(derive_seed(seed, "verifier"))
     rng_prover = Random(derive_seed(seed, "prover"))
-    meter = QueryMeter()
+    meter = QueryMeter(G)
 
     prover = prover_factory(G, rng_prover)
     try:
@@ -657,9 +657,6 @@ def run_protocol_3msg(
     if reason is not None:
         return _finish(transcript, meter, Outcome.abort(f"commitment check failed: {reason}"))
 
-    # Table construction is the sampler's amortized precomputation; keep it
-    # outside the per-run counters (it is shared by every run that receives
-    # this tower).
     try:
         chain = get_chain(G, commitment.elements)
     except (ClosureOverflowError, ChainError) as exc:

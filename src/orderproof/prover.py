@@ -25,7 +25,6 @@ from .polycyclic import (
     compact_tower,
     compute_pcgs,
     get_chain,
-    get_chain_view,
     group_order,
     prime_factors,
     refine_with_primes,
@@ -326,9 +325,9 @@ class OrderForgerProver(GuessInflateProver):
     protocol, where the verifier owns the tower, it falls back to inflating
     every inflatable trivial round, which keeps its claimed wrong order
     consistent across repeated runs.  Each inflated round is answered as
-    ``GuessInflateProver`` answers its one.  The forged tower's chain is a
-    view of the honest chain's table (``get_chain_view``), so each forged
-    tower costs O(t) memory and no query for its table.
+    ``GuessInflateProver`` answers its one.  ``get_chain`` makes the forged
+    tower's chain a view of the honest chain's table, so each forged tower
+    costs O(t) memory and no query for its table.
     """
 
     name = "order_forger"
@@ -350,7 +349,7 @@ class OrderForgerProver(GuessInflateProver):
         self._forged_elements = elements
         # extra lies in G, so its quotient order is 1 and the forged tower
         # shares the honest table.
-        get_chain_view(self.G, elements, chain)
+        get_chain(self.G, elements, chain)
         return build_commitment(self.G, elements, primes)
 
     def _targets(self, chain, elements):

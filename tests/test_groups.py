@@ -25,7 +25,7 @@ from orderproof import (
     parse_group_spec,
 )
 from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
-from orderproof.groups import _Relabeling
+from orderproof.groups import _Relabeling, memoized
 
 BACKEND_SPECS = [
     "cyclic:12",
@@ -182,7 +182,7 @@ def test_closure_of_cyclic12_costs_one_product_per_new_element():
     # The powers g^2 .. g^12 of the generator: g^12 is the identity, which
     # closes the list; g itself costs nothing.
     G = make_group(CyclicSpec(12))
-    meter = QueryMeter()
+    meter = QueryMeter(G)
     with meter.measuring():
         assert len(enumerate_closure(G, G.generators)) == 12
     assert meter.snapshot() == QueryCounts(product=11, inverse=0)
@@ -493,21 +493,90 @@ def test_decoding_foreign_codes_keeps_nothing():
 
 
 def test_query_meter_is_thread_local():
+    # Each thread also runs a memoized build of 7 products: amortized in its
+    # own tally, so no meter counts it, while query_counts() does.
     G = make_group(CyclicSpec(7))
     g = G.generators[0]
     results = {}
 
     def worker(name, n):
-        meter = QueryMeter()
+        meter = QueryMeter(G)
         with meter.measuring():
             for _ in range(n):
                 G.product(g, g)
+            memoized(G, (name,), lambda: [G.product(g, g) for _ in range(7)])
         results[name] = meter.snapshot().product
 
+    before = G.query_counts()
     a = threading.Thread(target=worker, args=("a", 300))
     b = threading.Thread(target=worker, args=("b", 500))
-    a.start(), b.start(), a.join(), b.join()
+    a.start(), b.start(), a.join(10), b.join(10)
+    assert not a.is_alive() and not b.is_alive()
     assert results == {"a": 300, "b": 500}
+    assert G.query_counts() - before == QueryCounts(product=814)
+
+
+# -- amortized set-up ---------------------------------------------------------
+
+def test_memoized_build_is_counted_but_not_metered():
+    # One product and one inverse outside any build; the outer build makes
+    # two products around a nested build of one product and one inverse.
+    G = make_group(CyclicSpec(12))
+    g = G.generators[0]
+
+    def inner():
+        G.product(g, g)
+        G.inverse(g)
+        return "inner"
+
+    def outer():
+        G.product(g, g)
+        memoized(G, ("inner",), inner)
+        G.product(g, g)
+        return "outer"
+
+    meter = QueryMeter(G)
+    before = G.query_counts()
+    with meter.measuring():
+        G.product(g, g)
+        assert memoized(G, ("outer",), outer) == "outer"
+        G.inverse(g)
+    assert meter.snapshot() == QueryCounts(product=1, inverse=1)
+    assert G.query_counts() - before == QueryCounts(product=4, inverse=2)
+    # A hit builds nothing and costs nothing.
+    with meter.measuring():
+        assert memoized(G, ("inner",), inner) == "inner"
+    assert G.query_counts() - before == QueryCounts(product=4, inverse=2)
+    assert meter.snapshot() == QueryCounts(product=1, inverse=1)
+
+
+def test_raising_build_is_not_metered_and_not_kept():
+    G = make_group(CyclicSpec(12))
+    g = G.generators[0]
+
+    def failing():
+        G.product(g, g)
+        G.inverse(g)
+        raise ClosureOverflowError("too big")
+
+    def catching():
+        # A build that survives a failing nested build: every query of
+        # both is amortized once.
+        with pytest.raises(ClosureOverflowError):
+            memoized(G, ("failing",), failing)
+        G.product(g, g)
+        return "caught"
+
+    meter = QueryMeter(G)
+    before = G.query_counts()
+    with meter.measuring():
+        with pytest.raises(ClosureOverflowError):
+            memoized(G, ("failing",), failing)
+        assert memoized(G, ("catching",), catching) == "caught"
+        G.product(g, g)
+    assert ("failing",) not in G.precomputed
+    assert meter.snapshot() == QueryCounts(product=1)
+    assert G.query_counts() - before == QueryCounts(product=4, inverse=2)
 
 
 # -- spec string grammar ----------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -178,6 +179,18 @@ def test_cli_adversary_alias(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["prover"] == "deflate"
     assert payload["outcomes"]["wrong_order"]["count"] == 0
+
+
+def test_cli_refuses_a_prime_past_the_primality_bound(capsys):
+    # 2^89 - 1 is prime, but at or above the bound of exact primality tests.
+    started = time.perf_counter()
+    code = main([
+        "run", "--group", "perm:18:(1 2)", "--protocol", "2msg",
+        "--primes", str(2**89 - 1), "--trials", "1",
+    ])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "primality" in capsys.readouterr().err
 
 
 def test_cli_list_adversaries(capsys):

@@ -34,10 +34,8 @@ from orderproof import (
 from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
 from orderproof.polycyclic import (
     MILLER_RABIN_EXACT_BELOW,
-    _built_chain,
     _conjugation_closure,
     _derived_series,
-    get_chain_view,
     is_prime,
 )
 
@@ -115,6 +113,17 @@ def test_is_prime_rejects_pseudoprimes(n):
     assert n < MILLER_RABIN_EXACT_BELOW
     assert not is_prime(n)
 
+
+@pytest.mark.parametrize("n", [MILLER_RABIN_EXACT_BELOW, 2**89 - 1])
+def test_is_prime_refuses_numbers_at_or_above_its_bound(n):
+    # Past the bound the test is no longer exact; it raises at once
+    # instead of falling back to trial division.
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="primality"):
+        is_prime(n)
+    with pytest.raises(ValueError, match="primality"):
+        refinement_exponents([2, n], 1)
+    assert time.perf_counter() - started < 1.0
 
 @pytest.mark.parametrize("p", [2**61 - 1, 2**64 - 59])
 def test_is_prime_is_fast_on_large_primes(p):
@@ -590,12 +599,12 @@ def test_a_tower_that_adds_codes_elsewhere_gets_its_own_table():
     assert full.view((g,)) is None
     assert full.view((G.identity, g)) is None
     assert full.view((b"\xff",)) is None
-    chain = get_chain_view(G, (g,), full)
+    chain = get_chain(G, (g,), full)
     assert chain._codes is not full._codes
     assert chain.quotient_orders == (12,)
     # A prefix of the tower, with a repeat and the identity, is a view.
     six, nine = full.elements[:2]
-    prefix = get_chain_view(G, (six, G.identity, nine, six), full)
+    prefix = get_chain(G, (six, G.identity, nine, six), full)
     assert prefix._codes is full._codes
     assert prefix.quotient_orders == (2, 1, 2, 1)
     assert prefix.group_order() == 4 and prefix.level_elements(4) == full.level_elements(2)
@@ -637,7 +646,7 @@ PURE_REFINED_CASES = [
 def test_refined_view_matches_a_chain_built_from_scratch(spec, primes, table):
     G = make_group(parse_group_spec(spec))
     pcgs = compute_pcgs(G)
-    source = _built_chain(G, pcgs.elements)
+    source = get_chain(G, pcgs.elements)
     refined = refine_with_primes(G, pcgs, primes)
     chain = get_chain(G, refined.elements)
     assert (chain._codes is source._codes) == (table == "shared")
@@ -674,7 +683,7 @@ IMPURE_REFINED_CASES = [
 def test_impure_refined_tower_gets_its_own_table(spec, primes):
     G = make_group(parse_group_spec(spec))
     pcgs = compute_pcgs(G)
-    source = _built_chain(G, pcgs.elements)
+    source = get_chain(G, pcgs.elements)
     refined = refine_with_primes(G, pcgs, primes)
     assert source.view(refined.elements) is None
     chain = get_chain(G, refined.elements)
@@ -713,7 +722,7 @@ def _pure_tower(G, source, rng):
 ])
 def test_views_of_random_towers_match_chains_built_from_scratch(spec):
     G = make_group(parse_group_spec(spec))
-    source = _built_chain(G, compute_pcgs(G).elements)
+    source = get_chain(G, compute_pcgs(G).elements)
     everything = source.level_elements(len(source))
     rng = Random(11)
     own = 0

@@ -39,6 +39,7 @@ from orderproof import (
     verifier_setup_2msg,
 )
 from orderproof.groups import QueryCounts, QueryMeter
+from orderproof.polycyclic import MILLER_RABIN_EXACT_BELOW
 from orderproof.protocol import (
     ROWS_PER_CALL,
     VerifierState,
@@ -81,7 +82,7 @@ def _masks(state, challenge):
 def test_setup_masked_elements_lie_in_their_levels(group_for):
     G = group_for("cyclic:12")
     state, challenge = verifier_setup_2msg(G, (2, 3), 4)
-    chain = state.chain
+    chain = get_chain(G, state.elements)
     masks = _masks(state, challenge)
     for i, masked in enumerate(challenge.masked, start=1):
         assert chain.is_member(i, masked)
@@ -113,7 +114,7 @@ def test_challenge_pays_one_product_per_masked_round(group_for, spec):
     primes = (2, 3)
     get_chain(G, refine_with_primes(G, compute_pcgs(G), primes).elements)
     for seed in (1, 2, 3):
-        meter = QueryMeter()
+        meter = QueryMeter(G)
         with meter.measuring():
             state, challenge = verifier_setup_2msg(G, primes, seed)
         paid = _paid_rounds(state, challenge)
@@ -126,7 +127,7 @@ def test_3msg_challenge_pays_one_product_per_masked_round(group_for):
     c = honest_commitment(G)
     chain = get_chain(G, c.elements)
     for seed in (1, 2, 3):
-        meter = QueryMeter()
+        meter = QueryMeter(G)
         with meter.measuring():
             state, masked = protocol_mod._issue_challenge(
                 G, chain, c.elements, c.primes, Random(seed))
@@ -213,6 +214,22 @@ def test_hostile_prime_aborts_before_trial_division(group_for, prime):
     assert "not a prime up to 2^n" in reason
 
 
+def test_prime_past_the_primality_bound_aborts_without_queries():
+    # perm:18 has 90-bit codes, so 2^89 - 1 passes the 2^n bound, but the
+    # primality test is exact only below MILLER_RABIN_EXACT_BELOW: the check
+    # refuses the value before testing it, at no query.
+    G = make_group(parse_group_spec("perm:18:(1 2)"))
+    prime = 2**89 - 1
+    assert prime < 1 << G.encoding_length and prime >= MILLER_RABIN_EXACT_BELOW
+    hostile = Commitment((G.generators[0],), (prime,), ((1,),), (), ())
+    meter = QueryMeter(G)
+    started = time.perf_counter()
+    with meter.measuring():
+        reason = verifier_check_commitment(G, G.generators, hostile)
+    assert time.perf_counter() - started < 1.0
+    assert reason == f"committed value {prime} is at or above the primality bound"
+    assert meter.snapshot().total == 0
+
 def test_length_guardrail(group_for):
     G = group_for("cyclic:12")
     too_long = Commitment(
@@ -266,7 +283,7 @@ def test_commitment_entry_at_its_prime_aborts_without_queries(group_for):
     rows = list(c.generator_exponents)
     rows[-1] = rows[-1][:-1] + (c.primes[-1],)
     tampered = dataclasses.replace(c, generator_exponents=tuple(rows))
-    meter = QueryMeter()
+    meter = QueryMeter(G)
     with meter.measuring():
         reason = verifier_check_commitment(G, G.generators, tampered)
     assert reason == "malformed generator decomposition row: entry outside [0, r_j)"
@@ -292,9 +309,8 @@ def _hand_state(G):
     """2-message verifier state over the hand tower (6, 3, 1) of cyclic:12."""
     g = G.generators[0]
     elements = (G.power(g, 6), G.power(g, 3), g)
-    chain = get_chain(G, elements)
     return VerifierState(
-        G=G, elements=elements, primes=(2, 2, 3), chain=chain, secret_bits=(1, 0, 1),
+        G=G, elements=elements, primes=(2, 2, 3), secret_bits=(1, 0, 1),
     )
 
 
@@ -304,7 +320,7 @@ def test_finalize_all_matching_rows_gives_one(group_for):
     G = group_for("cyclic:12")
     elements = (G.identity, G.identity)
     state = VerifierState(
-        G=G, elements=elements, primes=(2, 2), chain=get_chain(G, elements), secret_bits=(0, 1),
+        G=G, elements=elements, primes=(2, 2), secret_bits=(0, 1),
     )
     response = Response(bits=(1, 0), exponents=((), (0,)))
     assert verifier_finalize(state, response) == Outcome.of(1)
@@ -515,9 +531,10 @@ def test_finalize_matches_per_element_reference(data, case):
     response = data.draw(_edited_response(state, honest))
     outcomes = []
     for finalize in (verifier_finalize, _reference_finalize):
-        meter = QueryMeter()
+        meter = QueryMeter(state.G)
         with meter.measuring():
-            outcomes.append((finalize(state, response), meter.snapshot()))
+            outcome = finalize(state, response)
+        outcomes.append((outcome, meter.snapshot()))
     assert outcomes[0] == outcomes[1]
 
 
@@ -531,6 +548,27 @@ def test_run_2msg_honest_on_fixtures(group_for, protocol_fixtures):
         assert [m.kind for m in transcript.messages] == ["challenge", "response"]
         assert [m.direction for m in transcript.messages] == ["V->P", "P->V"]
 
+
+@pytest.mark.parametrize("protocol", ["2msg", "3msg"])
+@pytest.mark.parametrize("spec,primes", [(S4, (2, 3)), ("cyclic:32768@seed=7", (2,))])
+def test_cold_oracle_transcript_matches_a_warm_one(spec, primes, protocol):
+    # Set-up is memoized, hence amortized: the first run on a fresh oracle
+    # pays for it in query_counts() but not in its transcript.
+    G = make_group(parse_group_spec(spec))
+
+    def run():
+        before = G.query_counts()
+        if protocol == "2msg":
+            _, transcript = run_protocol_2msg(G, primes, _factory("honest"), 5)
+        else:
+            _, transcript = run_protocol_3msg(G, _factory("honest"), 5)
+        return transcript, (G.query_counts() - before).total
+
+    cold, cold_spent = run()
+    warm, warm_spent = run()
+    assert cold.canonical_bytes() == warm.canonical_bytes()
+    assert cold.queries.total > 0
+    assert cold_spent > warm_spent
 
 @pytest.mark.parametrize("protocol", ["2msg", "3msg"])
 def test_in_repo_provers_obey_the_exponent_rule(group_for, protocol_fixtures, protocol):
@@ -711,9 +749,10 @@ def test_large_levels_draw_masks_from_the_table(group_for):
     G = group_for("cyclic:32768")
     state, challenge = verifier_setup_2msg(G, (2,), 5)
     rounds = len(challenge.masked)
-    assert max(state.chain.level_order(i - 1) for i in range(1, rounds + 1)) > 10_000
+    chain = get_chain(G, state.elements)
+    assert max(chain.level_order(i - 1) for i in range(1, rounds + 1)) > 10_000
     for i, mask in enumerate(_masks(state, challenge), start=1):
-        assert state.chain.is_member(i - 1, mask)
+        assert chain.is_member(i - 1, mask)
     outcome, transcript = run_protocol_2msg(G, (2,), _factory("honest"), 5)
     assert outcome == Outcome.of(32768)
     assert transcript.queries.total <= 2 * rounds

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .groups import make_group, parse_group_spec
-from .polycyclic import group_order
+from .polycyclic import group_order, prime_fault
 from .protocol import Transcript, canonical_json_bytes, outcome_to_wire, run_repeated
 from .prover import PROVERS, make_prover
 from .sampling import derive_seed
@@ -70,6 +70,9 @@ class ExperimentConfig:
             raise UsageError("the 2-message protocol requires --primes")
         if self.protocol == "3msg" and self.primes is not None:
             raise UsageError("the 3-message protocol takes no primes")
+        for p in self.primes or ():
+            if fault := prime_fault(p):
+                raise UsageError(fault)
         if self.protocol == "2msg" and self.prover == "garbage_commitment":
             raise UsageError("garbage_commitment tampers a commitment; use --protocol 3msg")
 

@@ -119,6 +119,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_fault(p: int) -> str | None:
+    """Why ``p`` is not a prime ``is_prime`` can certify, or None."""
+    try:
+        return None if is_prime(p) else f"{p} is not prime"
+    except ValueError as exc:
+        return str(exc)
+
+
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of n in ascending order (trial division)."""
     if n < 1:
@@ -485,8 +493,8 @@ def refinement_exponents(primes: Iterable[int], n: int) -> tuple[int, ...]:
     if len(ordered) != len(listed):
         raise ValueError("prime set contains repeated entries")
     for p in ordered:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        if fault := prime_fault(p):
+            raise RefinementError(fault)
     if n < 1:
         raise ValueError("n must be >= 1")
     schedule = []
@@ -517,7 +525,8 @@ def refine_with_primes(
     position costs a power by one prime (1 product for 2, 2 for 3) rather
     than a power by the whole schedule exponent, and a power of the
     identity costs nothing; the elements, and so the codes, are the same.
-    Requires ``primes`` to cover every prime factor of the group order: the
+    Requires ``primes`` to be primes below ``MILLER_RABIN_EXACT_BELOW``
+    and to cover every prime factor of the group order: the
     result is validated, through the memoized normal-form table of the
     whole tower, against the quotient-order invariant and the enumerated
     group order, and a violation raises RefinementError.  ``get_chain``

@@ -5,12 +5,13 @@ In the 2-message variant the verifier, knowing the prime factors of the
 order, builds the refined polycyclic tower itself (the paper's l*n*t'
 positions), sends the tower along with one masked element per round, and
 turns the prover's reply into a product of per-round factors.  In the
-3-message variant the prover commits to a tower first, with decomposition
-tables certifying it; the honest prover commits to the compacted tower
-(``polycyclic.compact_tower``: no identity and no repeated element).  The
-verifier checks the commitment with deterministic equality tests and runs
-one round per committed element, compacting nothing it receives; the
-remaining rounds proceed as in the 2-message variant.
+3-message variant the prover commits to a tower first, with one exponent
+row per relation of ``prover.relation_schedule`` certifying it; the honest
+prover commits to the compacted tower (``polycyclic.compact_tower``: no
+identity and no repeated element).  The verifier checks the commitment
+with deterministic equality tests and runs one round per committed
+element, compacting nothing it receives; the remaining rounds proceed as
+in the 2-message variant.
 
 Both variants share one verifier path: every exponent a prover sends for
 position j, in a commitment or a response row, must lie in [0, r_j), with
@@ -63,7 +64,7 @@ from .polycyclic import (
     is_prime,
     refine_with_primes,
 )
-from .prover import Commitment, HonestProver, Response
+from .prover import Commitment, HonestProver, Response, relation_schedule, relation_targets
 from .sampling import as_rng, derive_seed
 
 #: Guardrail on prover-committed tower length:
@@ -158,14 +159,25 @@ class Transcript:
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-#: A list of more rows than this is encoded one row per call.
+#: A list of rows is encoded one row per call past this many rows.
 ROWS_PER_CALL = 32
+
+
+def _long_rows(value) -> bool:
+    """Whether ``value`` is a list of rows to encode one row per call.
+
+    Rows times the last row's length estimates its entries: a t-round
+    response splits when t > ``ROWS_PER_CALL``, while S4×S3's commitment
+    (58 rows, the last of 9 entries) stays one call.
+    """
+    return (type(value) is list and len(value) > ROWS_PER_CALL and type(value[0]) is list
+            and type(value[-1]) is list and len(value) * len(value[-1]) > ROWS_PER_CALL ** 2)
 
 
 def _descend(value) -> bool:
     """Whether ``_encode_grouped`` splits ``value``: a dict, a list of dicts, or long rows."""
-    return type(value) is dict or type(value) is list and len(value) > 0 and (
-        type(value[0]) is dict or type(value[0]) is list and len(value) > ROWS_PER_CALL)
+    return type(value) is dict or (
+        type(value) is list and len(value) > 0 and type(value[0]) is dict) or _long_rows(value)
 
 
 #: ``set(map(type, row))`` of a non-empty row of exact ints.
@@ -206,7 +218,7 @@ def _encode_grouped(obj, out: list[str]) -> None:
             _encode_grouped(item, out)
             opening = ","
         out.append("]")
-    elif type(obj) is list and len(obj) > ROWS_PER_CALL and type(obj[0]) is list:
+    elif _long_rows(obj):
         opening = "["
         for row in obj:
             out.append(opening)
@@ -225,8 +237,8 @@ def canonical_json(obj) -> str:
     CPython 3.11's C encoder keeps a string for every number it writes
     until it has 10^5 of them, and a 2-message response over a long tower
     holds about that many.  Mapping fresh memory for those strings made
-    scale-2msg trials about 12% slower (2-core VM), so a list of more than
-    ``ROWS_PER_CALL`` rows is encoded one row at a time, also where it sits
+    scale-2msg trials about 12% slower (2-core VM), so a long list of rows
+    (``_long_rows``) is encoded one row at a time, also where it sits
     inside a message inside a transcript, and the pieces are joined once.
     Such a row whose entries are all exact ``int`` is written by zero runs
     (``_int_row``), one step per nonzero entry; any other row (bools,
@@ -359,28 +371,17 @@ def commitment_to_wire(commitment: Commitment) -> dict:
         "kind": "commitment",
         "elements": [c.hex() for c in commitment.elements],
         "primes": list(commitment.primes),
-        "generator_exponents": [list(r) for r in commitment.generator_exponents],
-        "power_exponents": [list(r) for r in commitment.power_exponents],
-        "conjugate_exponents": [
-            [list(r) for r in block] for block in commitment.conjugate_exponents
-        ],
+        "rows": [list(r) for r in commitment.rows],
     }
 
 
 def commitment_from_wire(body: dict) -> Commitment:
     """Decode a commitment body; raises WireError on anything else."""
-    body = _wire_body(body, "commitment", (
-        "elements", "primes", "generator_exponents", "power_exponents", "conjugate_exponents",
-    ))
+    body = _wire_body(body, "commitment", ("elements", "primes", "rows"))
     return Commitment(
         elements=_wire_codes(body["elements"], "elements"),
         primes=_wire_ints(body["primes"], "primes"),
-        generator_exponents=_wire_rows(body["generator_exponents"], "generator_exponents"),
-        power_exponents=_wire_rows(body["power_exponents"], "power_exponents"),
-        conjugate_exponents=tuple(
-            _wire_rows(block, "conjugate_exponents")
-            for block in _wire_list(body["conjugate_exponents"], "conjugate_exponents")
-        ),
+        rows=_wire_rows(body["rows"], "rows"),
     )
 
 
@@ -445,6 +446,14 @@ def verifier_setup_2msg(
     return state, Challenge(masked=masked, elements=refined.elements)
 
 
+#: The check's reason when a row's word misses its relation target.
+_UNMET = {
+    "generator": "a group generator does not decompose over the committed tower",
+    "power": "prime power of element {i} does not match its decomposition",
+    "conjugate": "conjugate of element {l} by element {i} fails its decomposition",
+}
+
+
 def verifier_check_commitment(
     G: GroupOracle,
     generators: Sequence[ElementCode],
@@ -452,21 +461,19 @@ def verifier_check_commitment(
 ) -> str | None:
     """Run the commitment checks; return an abort reason or None on pass.
 
-    Shape validation first (every field, row and block a tuple or list, the
-    tower length guardrail, lengths, primes bounded by 2^n before
-    primality, every row entry at position j in [0, r_j) by ``_row_fault``),
-    then the three families of equality checks: each group generator
-    decomposes over the full tower, each element's claimed prime power falls
-    back into its prefix (with the first element's power equal to the
-    identity), and each conjugate of an earlier element falls back into the
-    prefix.  Passing certifies the committed sequence is a polycyclic tower
-    for the whole group with quotient orders in {1, r_i}.  A malformed
-    commitment of any shape returns a reason; it never raises.
+    Shape validation first, before any query: every field a tuple or list,
+    the tower length guardrail, lengths, primes bounded by 2^n before
+    primality, the row count s + (t-1) + t(t-1)/2, then each row's length
+    from ``relation_schedule`` and every entry at position j in [0, r_j)
+    by ``_row_fault``.  Then each row's word must equal its relation
+    target, in schedule order, and last h_1^{r_1} the identity, the one
+    relation with no row.  Passing certifies the committed sequence is a
+    polycyclic tower for the whole group with quotient orders in
+    {1, r_i}.  A malformed commitment of any shape returns a reason; it
+    never raises.
     """
     c = commitment
-    fields = (c.elements, c.primes, c.generator_exponents, c.power_exponents,
-              c.conjugate_exponents)
-    if any(not isinstance(f, (tuple, list)) for f in fields):
+    if any(not isinstance(f, (tuple, list)) for f in (c.elements, c.primes, c.rows)):
         return "commitment fields must be sequences"
     t = len(commitment.elements)
     n = G.encoding_length
@@ -489,43 +496,23 @@ def verifier_check_commitment(
         if not is_prime(r):
             return f"committed value {r!r} is not a prime"
 
-    if len(c.generator_exponents) != len(generators):
-        return "generator decomposition table has the wrong number of rows"
-    if len(c.power_exponents) != max(0, t - 1):
-        return "power decomposition table has the wrong number of rows"
-    if len(c.conjugate_exponents) != max(0, t - 1):
-        return "conjugate decomposition table has the wrong number of blocks"
-    blocks = list(enumerate(c.conjugate_exponents, start=2))
-    if any(not isinstance(block, (tuple, list)) or len(block) != i - 1 for i, block in blocks):
-        return "malformed conjugate decomposition block"
-    rows = [("generator", row, t) for row in c.generator_exponents]
-    rows += [("power", row, i - 1) for i, row in enumerate(c.power_exponents, start=2)]
-    rows += [("conjugate", row, i - 1) for i, block in blocks for row in block]
-    for table, row, k in rows:
-        fault = _row_fault(row, k, c.primes)
+    s = len(generators)
+    if len(c.rows) != s + max(0, t - 1) + t * (t - 1) // 2:
+        return "commitment has the wrong number of relation rows"
+    for (family, _, _, prefix), row in zip(relation_schedule(s, t), c.rows):
+        fault = _row_fault(row, prefix, c.primes)
         if fault is not None:
-            return f"malformed {table} decomposition row: {fault}"
+            return f"malformed {family} decomposition row: {fault}"
 
     # ``_row_fault`` checked each row's length, so zip stops at its prefix.
     h = commitment.elements
     try:
-        for g, row in zip(generators, commitment.generator_exponents):
-            if product_of_powers(G, compress(zip(h, row), row)) != g:
-                return "a group generator does not decompose over the committed tower"
+        for ((family, i, l, _), target), row in zip(
+                relation_targets(G, generators, h, c.primes), c.rows):
+            if product_of_powers(G, compress(zip(h, row), row)) != target:
+                return _UNMET[family].format(i=i, l=l)
         if t >= 1 and G.power(h[0], commitment.primes[0]) != G.identity:
             return "first element's prime power is not the identity"
-        for i in range(2, t + 1):
-            lhs = G.power(h[i - 1], commitment.primes[i - 1])
-            row = commitment.power_exponents[i - 2]
-            if product_of_powers(G, compress(zip(h, row), row)) != lhs:
-                return f"prime power of element {i} does not match its decomposition"
-        for i in range(2, t + 1):
-            h_inv = G.inverse(h[i - 1])
-            for l in range(1, i):
-                conj = G.product(G.product(h[i - 1], h[l - 1]), h_inv)
-                row = commitment.conjugate_exponents[i - 2][l - 1]
-                if product_of_powers(G, compress(zip(h, row), row)) != conj:
-                    return f"conjugate of element {l} by element {i} fails its decomposition"
     except InvalidCodeError as exc:
         return f"committed element code is invalid: {exc}"
     return None

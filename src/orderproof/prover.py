@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Collection, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .groups import ElementCode, GroupOracle, memoized
 from .polycyclic import (
@@ -37,24 +37,17 @@ class ProverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Commitment:
-    """First message of the 3-message protocol.
+    """First message of the 3-message protocol: a tower and one row per relation.
 
-    ``generator_exponents`` decomposes every group generator over the full
-    committed sequence; ``power_exponents[i-2]`` decomposes the r_i-th power
-    of the i-th element over the prefix before it (for i >= 2); and
-    ``conjugate_exponents[i-2][l-1]`` decomposes the conjugate of the l-th
-    element by the i-th one over the same prefix.
+    ``rows[k]`` decomposes the k-th target of ``relation_schedule(s, t)``
+    (s group generators, t elements) over its prefix: each generator over
+    the whole tower, then each h_i^{r_i} (i >= 2), then each conjugate
+    h_i·h_l·h_i^-1 (l < i), the last two over h_1..h_{i-1}.
     """
 
     elements: tuple[ElementCode, ...]
     primes: tuple[int, ...]
-    generator_exponents: tuple[tuple[int, ...], ...]
-    power_exponents: tuple[tuple[int, ...], ...]
-    conjugate_exponents: tuple[tuple[tuple[int, ...], ...], ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.elements)
+    rows: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -65,52 +58,73 @@ class Response:
     exponents: tuple[tuple[int, ...], ...]
 
 
+def relation_schedule(s: int, t: int) -> Iterator[tuple[str, int, int, int]]:
+    """The relation of each commitment row, in check order, at no query.
+
+    A relation is (family, i, l, prefix): the family "generator", "power"
+    or "conjugate"; the generator's or element's 1-based index i; the
+    conjugated element's index l (0 outside the conjugate family); and the
+    row's length.  Lazy, so a hostile t builds no list of t^2 relations.
+    """
+    for k in range(1, s + 1):
+        yield "generator", k, 0, t
+    for i in range(2, t + 1):
+        yield "power", i, 0, i - 1
+    for i in range(2, t + 1):
+        for l in range(1, i):
+            yield "conjugate", i, l, i - 1
+
+
+def relation_targets(
+    G: GroupOracle,
+    generators: Sequence[ElementCode],
+    elements: Sequence[ElementCode],
+    primes: Sequence[int],
+) -> Iterator[tuple[tuple[str, int, int, int], ElementCode]]:
+    """Each relation of the schedule with its target, computed when reached.
+
+    A generator costs nothing, a power h_i^{r_i} about log2 r_i products,
+    and the conjugates by h_i one inverse of h_i plus two products each.
+    """
+    for relation in relation_schedule(len(generators), len(elements)):
+        family, i, l, _ = relation
+        if family == "generator":
+            yield relation, generators[i - 1]
+        elif family == "power":
+            yield relation, G.power(elements[i - 1], primes[i - 1])
+        else:
+            h = elements[i - 1]
+            if l == 1:
+                h_inv = G.inverse(h)
+            yield relation, G.product(G.product(h, elements[l - 1]), h_inv)
+
+
+#: ``build_commitment``'s error when a relation target leaves its prefix.
+_ESCAPES = {
+    "generator": "committed sequence does not generate the group",
+    "power": "power of element {i} does not fall into its prefix",
+    "conjugate": "conjugate of element {l} by element {i} escapes the prefix",
+}
+
+
 def build_commitment(
     G: GroupOracle,
     elements: Sequence[ElementCode],
     primes: Sequence[int],
 ) -> Commitment:
-    """Assemble the decomposition tables committing to a polycyclic tower."""
+    """Decompose each relation target of a polycyclic tower over its prefix."""
     elements = tuple(elements)
     primes = tuple(primes)
     if len(elements) != len(primes):
         raise ProverError("need one prime per committed element")
     chain = get_chain(G, elements)
-    t = len(elements)
-
-    generator_rows = []
-    for g in G.generators:
-        row = chain.decompose(t, g)
+    rows = []
+    for (family, i, l, prefix), target in relation_targets(G, G.generators, elements, primes):
+        row = chain.decompose(prefix, target)
         if row is None:
-            raise ProverError("committed sequence does not generate the group")
-        generator_rows.append(row)
-
-    power_rows = []
-    conjugate_rows = []
-    for i in range(2, t + 1):
-        h = elements[i - 1]
-        target = G.power(h, primes[i - 1])
-        row = chain.decompose(i - 1, target)
-        if row is None:
-            raise ProverError(f"power of element {i} does not fall into its prefix")
-        power_rows.append(row)
-        h_inv = G.inverse(h)
-        conj_block = []
-        for l in range(1, i):
-            conj = G.product(G.product(h, elements[l - 1]), h_inv)
-            conj_row = chain.decompose(i - 1, conj)
-            if conj_row is None:
-                raise ProverError(f"conjugate of element {l} by element {i} escapes the prefix")
-            conj_block.append(conj_row)
-        conjugate_rows.append(tuple(conj_block))
-
-    return Commitment(
-        elements=elements,
-        primes=primes,
-        generator_exponents=tuple(generator_rows),
-        power_exponents=tuple(power_rows),
-        conjugate_exponents=tuple(conjugate_rows),
-    )
+            raise ProverError(_ESCAPES[family].format(i=i, l=l))
+        rows.append(row)
+    return Commitment(elements, primes, tuple(rows))
 
 
 def honest_commitment(G: GroupOracle) -> Commitment:
@@ -270,6 +284,7 @@ class RandomBitsProver(HonestProver):
 class GarbageCommitmentProver(HonestProver):
     """Honest play except one committed exponent entry is bumped by one.
 
+    The entry is drawn uniformly over the honest rows' entries in row order.
     A bump onto the attached prime r_j fails the range check [0, r_j) with
     no oracle query.  Any other bump changes the evaluated word, since the
     honest (compacted) tower holds no identity, so an equality check fails.
@@ -282,35 +297,13 @@ class GarbageCommitmentProver(HonestProver):
 
     def commit(self) -> Commitment:
         c = honest_commitment(self.G)
-        paths = []
-        for i, row in enumerate(c.generator_exponents):
-            paths.extend(("generator", i, j) for j in range(len(row)))
-        for i, row in enumerate(c.power_exponents):
-            paths.extend(("power", i, j) for j in range(len(row)))
-        for i, block in enumerate(c.conjugate_exponents):
-            for l, row in enumerate(block):
-                paths.extend(("conjugate", i, l, j) for j in range(len(row)))
-        if not paths:
+        entries = [(r, j) for r, row in enumerate(c.rows) for j in range(len(row))]
+        if not entries:
             return c
-        path = paths[self.rng.randrange(len(paths))]
-        if path[0] == "generator":
-            _, i, j = path
-            rows = list(c.generator_exponents)
-            rows[i] = rows[i][:j] + (rows[i][j] + 1,) + rows[i][j + 1:]
-            return Commitment(c.elements, c.primes, tuple(rows),
-                              c.power_exponents, c.conjugate_exponents)
-        if path[0] == "power":
-            _, i, j = path
-            rows = list(c.power_exponents)
-            rows[i] = rows[i][:j] + (rows[i][j] + 1,) + rows[i][j + 1:]
-            return Commitment(c.elements, c.primes, c.generator_exponents,
-                              tuple(rows), c.conjugate_exponents)
-        _, i, l, j = path
-        blocks = [list(block) for block in c.conjugate_exponents]
-        row = blocks[i][l]
-        blocks[i][l] = row[:j] + (row[j] + 1,) + row[j + 1:]
-        return Commitment(c.elements, c.primes, c.generator_exponents,
-                          c.power_exponents, tuple(tuple(b) for b in blocks))
+        r, j = entries[self.rng.randrange(len(entries))]
+        row = c.rows[r]
+        bumped = row[:j] + (row[j] + 1,) + row[j + 1:]
+        return Commitment(c.elements, c.primes, c.rows[:r] + (bumped,) + c.rows[r + 1:])
 
 
 class OrderForgerProver(GuessInflateProver):

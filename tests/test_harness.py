@@ -40,6 +40,8 @@ def test_wilson_interval_known_values():
         dict(protocol="2msg", primes=(2, 3), repetitions=0),
         dict(protocol="2msg", primes=(2, 3), prover="sneaky"),
         dict(protocol="2msg", primes=(2, 3), prover="garbage_commitment"),
+        dict(protocol="2msg", primes=(2, 4)),
+        dict(protocol="2msg", primes=(2, 2**89 - 1)),
     ],
 )
 def test_config_validation_rejects(kwargs):

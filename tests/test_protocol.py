@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import time
+import tracemalloc
 import weakref
 from enum import IntEnum
 from random import Random
@@ -39,7 +40,7 @@ from orderproof import (
     verifier_setup_2msg,
 )
 from orderproof.groups import QueryCounts, QueryMeter
-from orderproof.polycyclic import MILLER_RABIN_EXACT_BELOW
+from orderproof.polycyclic import MILLER_RABIN_EXACT_BELOW, RefinementError
 from orderproof.protocol import (
     ROWS_PER_CALL,
     VerifierState,
@@ -144,11 +145,11 @@ PINNED_CHALLENGES = {
     (WREATH, "2msg", 3): ("4429a49abfacd3edd82a043975024421", 195783),
     (WREATH, "2msg", 4): ("1d76f22b74c706988f5e92b87d4c9bd8", 195783),
     (WREATH, "2msg", 5): ("c10073cc85f3be2446e2da1460bf1529", 195783),
-    (S4, "3msg", 1): ("002bec3663bc9bc82f5ab882a907a337", 347),
-    (S4, "3msg", 2): ("a6b5a2070971511a02f3ea4157c3a5f3", 347),
-    (S4, "3msg", 3): ("396653b1ae6d9777c6abeca569443eb9", 347),
-    (S4, "3msg", 4): ("ff78e6d7796ad12d964dcb4c58a786f1", 347),
-    (S4, "3msg", 5): ("3b3297ed11b31efb8ab1ab08416bc01b", 347),
+    (S4, "3msg", 1): ("002bec3663bc9bc82f5ab882a907a337", 282),
+    (S4, "3msg", 2): ("a6b5a2070971511a02f3ea4157c3a5f3", 282),
+    (S4, "3msg", 3): ("396653b1ae6d9777c6abeca569443eb9", 282),
+    (S4, "3msg", 4): ("ff78e6d7796ad12d964dcb4c58a786f1", 282),
+    (S4, "3msg", 5): ("3b3297ed11b31efb8ab1ab08416bc01b", 282),
 }
 
 
@@ -177,10 +178,9 @@ def test_hand_built_commitment_passes(group_for):
 def test_tampered_generator_row_aborts(group_for):
     G = group_for("cyclic:12")
     c = _hand_commitment(G)
-    rows = list(c.generator_exponents)
+    rows = list(c.rows)  # cyclic:12 has one generator: rows[0] is its row
     rows[0] = (rows[0][0] + 1,) + rows[0][1:]
-    tampered = Commitment(c.elements, c.primes, tuple(rows),
-                          c.power_exponents, c.conjugate_exponents)
+    tampered = Commitment(c.elements, c.primes, tuple(rows))
     assert "generator" in verifier_check_commitment(G, G.generators, tampered)
 
 
@@ -188,8 +188,7 @@ def test_wrong_first_prime_aborts(group_for):
     # The first element has order 2; claiming prime 3 breaks h_1^r_1 = e.
     G = group_for("cyclic:12")
     c = _hand_commitment(G)
-    tampered = Commitment(c.elements, (3,) + c.primes[1:], c.generator_exponents,
-                          c.power_exponents, c.conjugate_exponents)
+    tampered = Commitment(c.elements, (3,) + c.primes[1:], c.rows)
     reason = verifier_check_commitment(G, G.generators, tampered)
     assert reason is not None and "first element" in reason
 
@@ -197,8 +196,7 @@ def test_wrong_first_prime_aborts(group_for):
 def test_non_prime_entry_aborts(group_for):
     G = group_for("cyclic:12")
     c = _hand_commitment(G)
-    tampered = Commitment(c.elements, (4,) + c.primes[1:], c.generator_exponents,
-                          c.power_exponents, c.conjugate_exponents)
+    tampered = Commitment(c.elements, (4,) + c.primes[1:], c.rows)
     assert "not a prime" in verifier_check_commitment(G, G.generators, tampered)
 
 
@@ -207,7 +205,7 @@ def test_hostile_prime_aborts_before_trial_division(group_for, prime):
     # Trial division on 2^61 - 1 would run for minutes; quotient orders
     # divide |G| <= 2^n, so the bound rejects it first.
     G = group_for("perm:4:(1 2),(1 2 3 4)")
-    hostile = Commitment((G.generators[0],), (prime,), ((1,),) * len(G.generators), (), ())
+    hostile = Commitment((G.generators[0],), (prime,), ((1,),) * len(G.generators))
     started = time.perf_counter()
     reason = verifier_check_commitment(G, G.generators, hostile)
     assert time.perf_counter() - started < 1.0
@@ -221,7 +219,7 @@ def test_prime_past_the_primality_bound_aborts_without_queries():
     G = make_group(parse_group_spec("perm:18:(1 2)"))
     prime = 2**89 - 1
     assert prime < 1 << G.encoding_length and prime >= MILLER_RABIN_EXACT_BELOW
-    hostile = Commitment((G.generators[0],), (prime,), ((1,),), (), ())
+    hostile = Commitment((G.generators[0],), (prime,), ((1,),))
     meter = QueryMeter(G)
     started = time.perf_counter()
     with meter.measuring():
@@ -230,49 +228,53 @@ def test_prime_past_the_primality_bound_aborts_without_queries():
     assert reason == f"committed value {prime} is at or above the primality bound"
     assert meter.snapshot().total == 0
 
+
 def test_length_guardrail(group_for):
     G = group_for("cyclic:12")
-    too_long = Commitment(
-        elements=(G.identity,) * 100_000,
-        primes=(2,) * 100_000,
-        generator_exponents=(),
-        power_exponents=(),
-        conjugate_exponents=(),
-    )
+    too_long = Commitment(elements=(G.identity,) * 100_000, primes=(2,) * 100_000, rows=())
     assert "guardrail" in verifier_check_commitment(G, G.generators, too_long)
 
 
 def test_non_bytes_element_code_aborts(group_for):
     G = group_for("cyclic:12")
     c = _hand_commitment(G)
-    tampered = Commitment(("junk",) + c.elements[1:], c.primes, c.generator_exponents,
-                          c.power_exponents, c.conjugate_exponents)
+    tampered = Commitment(("junk",) + c.elements[1:], c.primes, c.rows)
     assert "byte strings" in verifier_check_commitment(G, G.generators, tampered)
 
 
+def _replace_row(c, k, row):
+    return dataclasses.replace(c, rows=c.rows[:k] + (row,) + c.rows[k + 1:])
+
+
 def _non_sequence_commitment(c, shape):
-    """The hand commitment with one field, row or block that is not a sequence."""
+    """The hand commitment with one field or row that is not a sequence.
+
+    The hand tower has t = 3 elements and cyclic:12 one generator, so row 0
+    is the generator row, rows 1-2 the power rows and rows 3-5 the
+    conjugate rows.
+    """
     return {
-        "int-generator-row": dataclasses.replace(
-            c, generator_exponents=(0,) + c.generator_exponents[1:]),
-        "none-power-row": dataclasses.replace(
-            c, power_exponents=(None,) + c.power_exponents[1:]),
-        "int-conjugate-block": dataclasses.replace(
-            c, conjugate_exponents=(0,) + c.conjugate_exponents[1:]),
+        "int-generator-row": _replace_row(c, 0, 0),
+        "none-power-row": _replace_row(c, 1, None),
+        "int-conjugate-row": _replace_row(c, 3, 0),
         "none-primes": dataclasses.replace(c, primes=None),
-        "none-generator-exponents": dataclasses.replace(c, generator_exponents=None),
+        "none-rows": dataclasses.replace(c, rows=None),
         "int-elements": dataclasses.replace(c, elements=3),
     }[shape]
 
 
-@pytest.mark.parametrize("shape", [
-    "int-generator-row", "none-power-row", "int-conjugate-block",
-    "none-primes", "none-generator-exponents", "int-elements",
+@pytest.mark.parametrize("shape,reason", [
+    ("int-generator-row", "malformed generator decomposition row: not a sequence"),
+    ("none-power-row", "malformed power decomposition row: not a sequence"),
+    ("int-conjugate-row", "malformed conjugate decomposition row: not a sequence"),
+    ("none-primes", "commitment fields must be sequences"),
+    ("none-rows", "commitment fields must be sequences"),
+    ("int-elements", "commitment fields must be sequences"),
 ])
-def test_non_sequence_commitment_aborts(group_for, shape):
+def test_non_sequence_commitment_aborts(group_for, shape, reason):
     G = group_for("cyclic:12")
     tampered = _non_sequence_commitment(_hand_commitment(G), shape)
-    assert isinstance(verifier_check_commitment(G, G.generators, tampered), str)
+    assert verifier_check_commitment(G, G.generators, tampered) == reason
 
 
 def test_commitment_entry_at_its_prime_aborts_without_queries(group_for):
@@ -280,27 +282,52 @@ def test_commitment_entry_at_its_prime_aborts_without_queries(group_for):
     # prime is r_t: an entry equal to it is refused before any oracle query.
     G = group_for(S4)
     c = honest_commitment(G)
-    rows = list(c.generator_exponents)
-    rows[-1] = rows[-1][:-1] + (c.primes[-1],)
-    tampered = dataclasses.replace(c, generator_exponents=tuple(rows))
+    s = len(G.generators)
+    rows = _replace_row(c, s - 1, c.rows[s - 1][:-1] + (c.primes[-1],)).rows
+    tampered = dataclasses.replace(c, rows=rows)
     meter = QueryMeter(G)
     with meter.measuring():
         reason = verifier_check_commitment(G, G.generators, tampered)
     assert reason == "malformed generator decomposition row: entry outside [0, r_j)"
     assert meter.snapshot().total == 0
     outcome, transcript = run_protocol_3msg(
-        G, lambda g, rng: _ReplacingProver(g, rng, generator_exponents=tuple(rows)), 0)
+        G, lambda g, rng: _ReplacingProver(g, rng, rows=rows), 0)
     assert outcome.reason == f"commitment check failed: {reason}"
     assert transcript.queries.total == 0
 
 
 def test_shape_mismatch_aborts(group_for):
+    # s + (t - 1) + t(t - 1)/2 = 1 + 2 + 3 rows on the hand tower; one row
+    # fewer or more is refused by arithmetic, before any row or query.
     G = group_for("cyclic:12")
     c = _hand_commitment(G)
-    tampered = Commitment(c.elements, c.primes, c.generator_exponents[:-1] if
-                          len(c.generator_exponents) > 1 else (), c.power_exponents,
-                          c.conjugate_exponents)
-    assert "rows" in verifier_check_commitment(G, G.generators, tampered)
+    assert len(c.rows) == 6
+    for rows in (c.rows[:-1], c.rows[1:], c.rows + ((0, 0),), ()):
+        meter = QueryMeter(G)
+        with meter.measuring():
+            reason = verifier_check_commitment(G, G.generators, Commitment(c.elements, c.primes, rows))
+        assert reason == "commitment has the wrong number of relation rows"
+        assert meter.snapshot().total == 0
+
+
+def test_hostile_row_count_is_refused_lazily():
+    # t = 2000 commits to t(t - 1)/2 ~ 2 * 10^6 conjugate relations; the
+    # count is refused by arithmetic, with no list of t^2 prefix lengths
+    # (about 70 MB) built first.
+    G = make_group(parse_group_spec("perm:18:(1 2)"))
+    t = 2000
+    hostile = Commitment((G.identity,) * t, (2,) * t, ())
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        reason = verifier_check_commitment(G, G.generators, hostile)
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reason == "commitment has the wrong number of relation rows"
+    assert elapsed < 1.0
+    assert peak < 1 << 20
 
 
 # -- finalize trichotomy ----------------------------------------------------------
@@ -616,6 +643,23 @@ def test_runner_aborts_when_the_tower_cannot_be_built(group_for):
     assert transcript.messages == [] and transcript.queries.total == 0
 
 
+@pytest.mark.parametrize("primes,reason", [
+    ((2, 4), "4 is not prime"),
+    ((2, 2**89 - 1), "the bound of exact primality tests"),
+])
+def test_runner_aborts_on_a_verifier_prime_it_cannot_certify(group_for, primes, reason):
+    # A non-prime, or a prime past the exact primality test, is refused by
+    # the refinement as RefinementError, which the runner turns into an
+    # abort before anything is sent.
+    G = group_for("cyclic:12")
+    with pytest.raises(RefinementError, match=reason):
+        refine_with_primes(G, compute_pcgs(G), primes)
+    outcome, transcript = run_protocol_2msg(G, primes, _factory("honest"), 0)
+    assert outcome.reason.startswith("verifier tower construction failed")
+    assert reason in outcome.reason
+    assert transcript.messages == [] and transcript.queries.total == 0
+
+
 class _ReplacingProver(HonestProver):
     """Commits to the honest commitment with the given fields replaced."""
 
@@ -629,8 +673,8 @@ class _ReplacingProver(HonestProver):
 
 @pytest.mark.parametrize("fields", [
     {"elements": ("zz",)},
-    {"generator_exponents": 5},
-], ids=["str-element-code", "int-generator-exponents"])
+    {"rows": 5},
+], ids=["str-element-code", "int-rows"])
 def test_unencodable_commitment_aborts_before_logging(group_for, fields):
     G = group_for(S4)
     outcome, transcript = run_protocol_3msg(
@@ -770,14 +814,14 @@ PINNED_S4_DIGESTS = {
     ("2msg", "honest", 2): "5880432198eabac7f1349fe654e97e50",
     ("2msg", "guess_inflate", 1): "c41deccdc2f6a0c56187fa8ed694f227",
     ("2msg", "guess_inflate", 2): "b801fbcd69e8d6f8751ec23cfb45c1e4",
-    ("3msg", "honest", 1): "558c9e870462fba5e67f1f795550fdf6",
-    ("3msg", "honest", 2): "6ab03c871167e7aa23749131fe0fecf6",
-    ("3msg", "guess_inflate", 1): "558c9e870462fba5e67f1f795550fdf6",
-    ("3msg", "guess_inflate", 2): "6ab03c871167e7aa23749131fe0fecf6",
+    ("3msg", "honest", 1): "70289f13c3e6378689cd0379413f0a4a",
+    ("3msg", "honest", 2): "527183598af308cc9d355f48ab786c47",
+    ("3msg", "guess_inflate", 1): "70289f13c3e6378689cd0379413f0a4a",
+    ("3msg", "guess_inflate", 2): "527183598af308cc9d355f48ab786c47",
     ("2msg", "deflate", 1): "0e9cad12821a825ffba4d6abde390c0b",
     ("2msg", "order_forger", 1): "31aee273e467070da78beb2b9f337242",
-    ("3msg", "order_forger", 1): "8c2450e165c262158fa6410d705c0993",
-    ("3msg", "order_forger", 2): "fc57c386ecc8f03293b11c4c1d27b539",
+    ("3msg", "order_forger", 1): "b909e3aa436f1eec0f5e1eb6e045bd13",
+    ("3msg", "order_forger", 2): "7b0f532cb0cdd4625a70110c4eb9d9dc",
 }
 
 
@@ -800,8 +844,8 @@ def test_transcript_digests_are_pinned(protocol, prover, seed):
 #: prover plays an inflated round: seed 1 aborts there on a wrong bit, seed 2
 #: is accepted with the inflated order 36.
 PINNED_C12_INFLATE_DIGESTS = {
-    1: "e7b64483dd98495ad7b2b01309bda097",
-    2: "f29b54d8756bad8342dc33367d770261",
+    1: "942ab83eeeed85ba3406e0905bd91c77",
+    2: "ff24ef92b21be61a739281ae5b774b8a",
 }
 
 
@@ -901,7 +945,11 @@ def test_nontrivial_round_distributions_disjoint(group_for):
 def test_codec_round_trips(group_for):
     G = group_for("perm:3:(1 2),(1 2 3)")
     c = honest_commitment(G)
-    assert commitment_from_wire(commitment_to_wire(c)) == c
+    body = commitment_to_wire(c)
+    assert sorted(body) == ["elements", "kind", "primes", "rows"]
+    assert body["rows"] == [list(row) for row in c.rows]
+    assert commitment_from_wire(body) == c
+    assert commitment_from_wire(json.loads(protocol_mod.canonical_json(body))) == c
     state, challenge = verifier_setup_2msg(G, (2, 3), 6)
     assert challenge_from_wire(challenge_to_wire(challenge)) == challenge
     prover = make_prover("honest", G, Random(1))
@@ -925,15 +973,18 @@ DECODERS = {
         ("response", {"kind": "challenge", "bits": [], "exponents": []}),
         ("challenge", {"kind": "challenge", "masked": ["zz"]}),
         ("challenge", {"kind": "challenge", "masked": [], "elements": "00"}),
-        ("commitment", {"kind": "commitment", "elements": ["0"], "primes": [],
-                        "generator_exponents": [], "power_exponents": [],
-                        "conjugate_exponents": []}),
-        ("commitment", {"kind": "commitment", "elements": [], "primes": [True],
-                        "generator_exponents": [], "power_exponents": [],
-                        "conjugate_exponents": []}),
+        ("commitment", {"kind": "commitment", "elements": ["0"], "primes": [], "rows": []}),
+        ("commitment", {"kind": "commitment", "elements": [], "primes": [True], "rows": []}),
+        ("commitment", {"kind": "commitment", "elements": [], "primes": [], "rows": 5}),
+        ("commitment", {"kind": "commitment", "elements": [], "primes": [], "rows": {}}),
+        ("commitment", {"kind": "commitment", "elements": [], "primes": [], "rows": [5]}),
+        ("commitment", {"kind": "commitment", "elements": [], "primes": [], "rows": [[1, None]]}),
+        ("commitment", {"kind": "commitment", "elements": [], "primes": [], "rows": [[1.0]]}),
+        ("commitment", {"kind": "commitment", "elements": [], "primes": [], "rows": [[True]]}),
+        ("commitment", {"kind": "commitment", "elements": [], "primes": []}),
         ("commitment", {"kind": "commitment", "elements": [], "primes": [],
                         "generator_exponents": [], "power_exponents": [],
-                        "conjugate_exponents": [[[1, None]]]}),
+                        "conjugate_exponents": []}),
         ("commitment", []),
     ],
 )
@@ -956,9 +1007,7 @@ _fields = {
     "bits": _ints,
     "primes": _ints,
     "exponents": st.lists(_ints, max_size=3),
-    "generator_exponents": st.lists(_ints, max_size=3),
-    "power_exponents": st.lists(_ints, max_size=3),
-    "conjugate_exponents": st.lists(st.lists(_ints, max_size=2), max_size=2),
+    "rows": st.lists(_ints, max_size=3),
 }
 #: Bodies near the real shapes: the right kind, each field either of its own
 #: shape or any JSON value, and any field possibly missing.

@@ -23,6 +23,10 @@ from orderproof import (
     run_protocol_3msg,
     verifier_check_commitment,
 )
+from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
+from orderproof.prover import relation_schedule
+
+PROTOCOL_SPECS = [get_fixture(name).spec for name in PROTOCOL_FIXTURES]
 
 
 def _factory(name):
@@ -46,7 +50,7 @@ def test_registry_and_listing():
 def test_honest_commitment_trivial_group(group_for):
     G = group_for("cyclic:1")
     c = honest_commitment(G)
-    assert c.length == 0
+    assert c.elements == () and c.rows == ((),) * len(G.generators)
     assert verifier_check_commitment(G, G.generators, c) is None
 
 
@@ -60,22 +64,104 @@ def test_honest_commitment_passes_checks(group_for, spec):
 
 
 def test_commitment_power_rows_hold(group_for):
+    # The power rows follow the s generator rows, one per i = 2..t.
     G = group_for("cyclic:12")
     c = honest_commitment(G)
-    for i in range(2, c.length + 1):
+    t, s = len(c.elements), len(G.generators)
+    for i in range(2, t + 1):
         lhs = G.power(c.elements[i - 1], c.primes[i - 1])
-        assert eval_word(G, c.elements[: i - 1], c.power_exponents[i - 2]) == lhs
+        assert eval_word(G, c.elements[: i - 1], c.rows[s + i - 2]) == lhs
 
 
 def test_commitment_conjugate_rows_hold(group_for):
+    # The conjugate rows follow the power rows, for i = 2..t and l = 1..i-1.
     G = group_for("perm:3:(1 2),(1 2 3)")
     c = honest_commitment(G)
-    for i in range(2, c.length + 1):
+    t, s = len(c.elements), len(G.generators)
+    k = s + t - 1
+    for i in range(2, t + 1):
         h_inv = G.inverse(c.elements[i - 1])
         for l in range(1, i):
             conj = G.product(G.product(c.elements[i - 1], c.elements[l - 1]), h_inv)
-            row = c.conjugate_exponents[i - 2][l - 1]
-            assert eval_word(G, c.elements[: i - 1], row) == conj
+            assert eval_word(G, c.elements[: i - 1], c.rows[k]) == conj
+            k += 1
+    assert k == len(c.rows)
+
+
+def _relation_target(G, c, family, i, l):
+    """The target of one relation, computed here independently of the prover."""
+    h = c.elements
+    if family == "generator":
+        return G.generators[i - 1]
+    if family == "power":
+        return G.power(h[i - 1], c.primes[i - 1])
+    return G.product(G.product(h[i - 1], h[l - 1]), G.inverse(h[i - 1]))
+
+
+@pytest.mark.parametrize("spec", PROTOCOL_SPECS + ["direct:perm:4:(1 2),(1 2 3 4),perm:3:(1 2),(1 2 3)"])
+def test_honest_rows_evaluate_to_their_relation_targets(group_for, spec):
+    G = group_for(spec)
+    c = honest_commitment(G)
+    t, s = len(c.elements), len(G.generators)
+    assert len(c.rows) == s + max(0, t - 1) + t * (t - 1) // 2
+    schedule = list(relation_schedule(s, t))
+    assert [family for family, *_ in schedule] == (
+        ["generator"] * s + ["power"] * max(0, t - 1) + ["conjugate"] * (t * (t - 1) // 2))
+    for relation, row in zip(schedule, c.rows, strict=True):
+        prefix = relation[3]
+        assert len(row) == prefix
+        assert eval_word(G, c.elements[:prefix], row) == _relation_target(G, c, *relation[:3])
+
+
+def _parent_garbage(c, s, seed):
+    """The garbage commitment as drawn over the three tables, laid out as flat rows.
+
+    Splits the honest rows into generator rows, power rows and per-element
+    conjugate blocks, bumps one entry by the path enumeration that drew
+    over those tables, and flattens the result back in row order.
+    """
+    t = len(c.elements)
+    generator_exponents = list(c.rows[:s])
+    power_exponents = list(c.rows[s:s + max(0, t - 1)])
+    rest = iter(c.rows[s + max(0, t - 1):])
+    conjugate_exponents = [[next(rest) for _ in range(i - 1)] for i in range(2, t + 1)]
+    paths = []
+    for i, row in enumerate(generator_exponents):
+        paths.extend(("generator", i, j) for j in range(len(row)))
+    for i, row in enumerate(power_exponents):
+        paths.extend(("power", i, j) for j in range(len(row)))
+    for i, block in enumerate(conjugate_exponents):
+        for l, row in enumerate(block):
+            paths.extend(("conjugate", i, l, j) for j in range(len(row)))
+    path = paths[Random(seed).randrange(len(paths))]
+
+    def bump(row, j):
+        return row[:j] + (row[j] + 1,) + row[j + 1:]
+
+    if path[0] == "generator":
+        _, i, j = path
+        generator_exponents[i] = bump(generator_exponents[i], j)
+    elif path[0] == "power":
+        _, i, j = path
+        power_exponents[i] = bump(power_exponents[i], j)
+    else:
+        _, i, l, j = path
+        conjugate_exponents[i][l] = bump(conjugate_exponents[i][l], j)
+    flat = generator_exponents + power_exponents
+    return tuple(flat + [row for block in conjugate_exponents for row in block])
+
+
+@pytest.mark.parametrize("spec", [
+    "perm:4:(1 2),(1 2 3 4)", "direct:perm:4:(1 2),(1 2 3 4),perm:3:(1 2),(1 2 3)",
+])
+def test_garbage_draws_the_entry_the_three_tables_drew(group_for, spec):
+    G = group_for(spec)
+    c = honest_commitment(G)
+    for seed in range(50):
+        garbage = make_prover("garbage_commitment", G, Random(seed)).commit()
+        assert garbage.elements == c.elements and garbage.primes == c.primes
+        assert garbage.rows == _parent_garbage(c, len(G.generators), seed)
+        assert garbage.rows != c.rows
 
 
 def test_build_commitment_rejects_non_generating_sequence(group_for):
@@ -169,7 +255,7 @@ def test_order_forger_commitment_passes_step_checks(group_for):
     G = group_for("cyclic:12")
     forger = make_prover("order_forger", G, Random(3))
     c = forger.commit()
-    assert c.length == honest_commitment(G).length + 1
+    assert len(c.elements) == len(honest_commitment(G).elements) + 1
     assert verifier_check_commitment(G, G.generators, c) is None
 
 

@@ -26,7 +26,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Any, Callable, Iterable, Sequence, TypeVar, Union
+from typing import Any, Callable, Sequence, TypeVar, Union
 
 ElementCode = bytes
 
@@ -565,17 +565,8 @@ def eval_word(G: GroupOracle, bases: Sequence[ElementCode], exps: Sequence[int])
     """
     if len(bases) != len(exps):
         raise ValueError(f"word length mismatch: {len(bases)} bases, {len(exps)} exponents")
-    return product_of_powers(G, compress(zip(bases, exps), exps))
-
-
-def product_of_powers(G: GroupOracle, terms: Iterable[tuple[ElementCode, int]]) -> ElementCode:
-    """The product of base^exp over (base, exp) ``terms``, left to right.
-
-    ``eval_word`` after its zero skip: the identity, at no query, when
-    there is no term.
-    """
     acc = None
-    for base, exp in terms:
+    for base, exp in compress(zip(bases, exps), exps):
         p = G.power(base, exp)
         acc = p if acc is None else G.product(acc, p)
     return G.identity if acc is None else acc

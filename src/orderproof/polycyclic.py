@@ -525,8 +525,9 @@ def refine_with_primes(
     position costs a power by one prime (1 product for 2, 2 for 3) rather
     than a power by the whole schedule exponent, and a power of the
     identity costs nothing; the elements, and so the codes, are the same.
-    Requires ``primes`` to be primes below ``MILLER_RABIN_EXACT_BELOW``
-    and to cover every prime factor of the group order: the
+    Requires ``primes`` to be primes below ``MILLER_RABIN_EXACT_BELOW``,
+    checked first, so the trivial group refuses a bad prime as any group
+    does, and to cover every prime factor of the group order: the
     result is validated, through the memoized normal-form table of the
     whole tower, against the quotient-order invariant and the enumerated
     group order, and a violation raises RefinementError.  ``get_chain``
@@ -543,6 +544,9 @@ def refine_with_primes(
     oracle (the computation is deterministic).
     """
     ordered = tuple(sorted(set(primes)))
+    for p in ordered:
+        if fault := prime_fault(p):
+            raise RefinementError(fault)
     if not pcgs.elements:
         return PolycyclicSequence((), (), ())
     if not ordered:

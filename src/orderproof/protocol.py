@@ -17,11 +17,18 @@ Both variants share one verifier path: every exponent a prover sends for
 position j, in a commitment or a response row, must lie in [0, r_j), with
 r_j the prime attached there (``_row_fault``), as normal-form digits do.
 
-A trial pays for what its messages carry, not for their length.  A
-challenge round costs a product only when its secret bit is 1 and its mask
-is not the identity.  Response rows over a long tower are mostly zeros:
-the row check, the word evaluation and the canonical encoding step over
-the nonzero entries only, and their zeros are scanned by builtins in C.
+A trial pays for what its messages carry, not for their length, and the
+verifier never asks the oracle what it can already see: an answer that
+code equality or an earlier answer in the same call decides costs no
+query.  A challenge round costs a product only when its secret bit is 1
+and neither its element nor its mask is the identity.  A relation target
+with an identity operand is read off by code equality
+(``prover.relation_targets``).  One word evaluator per check or finalize
+call (``_word_evaluator``) skips identity bases and computes each distinct
+power and each distinct word of the message once.  Response rows over a
+long tower are mostly zeros: the row check, the word evaluation and the
+canonical encoding step over the nonzero entries only, and their zeros are
+scanned by builtins in C.
 
 Every execution is seeded and reproducible: transcripts carry the full
 message log in a canonical JSON form, so identical seeds yield
@@ -51,7 +58,6 @@ from .groups import (
     InvalidCodeError,
     QueryCounts,
     QueryMeter,
-    product_of_powers,
 )
 from .polycyclic import (
     MILLER_RABIN_EXACT_BELOW,
@@ -411,12 +417,13 @@ def _issue_challenge(
     Round i's mask x is a uniform element of level i-1 from the tower's
     normal-form table, built once per tower and amortized, so a draw makes
     no oracle query: the simulator's stand-in for the paper's sampler.  The
-    masked element h_i^s·x costs one product only when s = 1 and x is not
-    the identity; otherwise it is x (s = 0) or h_i (x the identity).  Both
-    are codes the oracle accepts (a table element; the tower's own h_i, or
-    a committed one the commitment check raised to its prime), and a code
-    it accepts is the one it gives that element, so each shortcut sends
-    the code the product would return.
+    masked element h_i^s·x costs one product only when s = 1 and neither
+    h_i nor x is the identity; otherwise it is x (s = 0 or h_i the
+    identity) or h_i (x the identity).  Both are codes the oracle accepts
+    (a table element; the tower's own h_i, or a committed one the
+    commitment check raised to its prime), and a code it accepts is the
+    one it gives that element, so each shortcut sends the code the product
+    would return.  Every round makes the same two draws, shortcut or not.
     """
     bits, masked = [], []
     identity = G.identity
@@ -424,7 +431,8 @@ def _issue_challenge(
         s = rng.getrandbits(1)
         x = chain.level_element(i, rng.randrange(chain.level_order(i)))
         bits.append(s)
-        masked.append(x if not s else h if x == identity else G.product(h, x))
+        masked.append(x if not s or h == identity else h if x == identity
+                      else G.product(h, x))
     return VerifierState(G, tuple(elements), tuple(primes), tuple(bits)), tuple(masked)
 
 
@@ -444,6 +452,45 @@ def verifier_setup_2msg(
     state, masked = _issue_challenge(
         G, chain, refined.elements, refined.primes or (), as_rng(seed_or_rng))
     return state, Challenge(masked=masked, elements=refined.elements)
+
+
+def _word_evaluator(
+    G: GroupOracle, elements: Sequence[ElementCode]
+) -> Callable[[Sequence[int]], ElementCode]:
+    """The word of an exponent row over a prefix of ``elements``, with a memo.
+
+    A row's word is the product, left to right, of elements[j]^row[j] over
+    its terms: the positions j whose entry is nonzero, picked out in C, and
+    whose element is not the identity.  An identity base contributes
+    nothing, at no query; so does a power that comes out the identity, and
+    a product with the identity so far is its other operand.  Each distinct
+    (position, exponent) power and each distinct word, keyed by its terms,
+    is computed once.  One evaluator serves one verifier call, so its memo
+    lives for that call and holds at most one power per nonzero entry and
+    one word per row of the message.
+    """
+    identity = G.identity
+    powers: dict[tuple[int, int], ElementCode] = {}
+    words: dict[tuple, ElementCode] = {}
+
+    def word(row: Sequence[int]) -> ElementCode:
+        nonzero = list(compress(range(len(row)), row))
+        if not nonzero:
+            return identity
+        terms = tuple([(j, row[j]) for j in nonzero if elements[j] != identity])
+        value = words.get(terms)
+        if value is None:
+            value = identity
+            for term in terms:
+                p = powers.get(term)
+                if p is None:
+                    p = powers[term] = G.power(elements[term[0]], term[1])
+                if p != identity:
+                    value = p if value == identity else G.product(value, p)
+            words[terms] = value
+        return value
+
+    return word
 
 
 #: The check's reason when a row's word misses its relation target.
@@ -467,10 +514,11 @@ def verifier_check_commitment(
     from ``relation_schedule`` and every entry at position j in [0, r_j)
     by ``_row_fault``.  Then each row's word must equal its relation
     target, in schedule order, and last h_1^{r_1} the identity, the one
-    relation with no row.  Passing certifies the committed sequence is a
-    polycyclic tower for the whole group with quotient orders in
-    {1, r_i}.  A malformed commitment of any shape returns a reason; it
-    never raises.
+    relation with no row.  Words come from one ``_word_evaluator``, and a
+    target or an h_1^{r_1} with an identity operand costs no query.
+    Passing certifies the committed sequence is a polycyclic tower for the
+    whole group with quotient orders in {1, r_i}.  A malformed commitment
+    of any shape returns a reason; it never raises.
     """
     c = commitment
     if any(not isinstance(f, (tuple, list)) for f in (c.elements, c.primes, c.rows)):
@@ -504,14 +552,15 @@ def verifier_check_commitment(
         if fault is not None:
             return f"malformed {family} decomposition row: {fault}"
 
-    # ``_row_fault`` checked each row's length, so zip stops at its prefix.
+    # ``_row_fault`` checked each row's length, so a word stops at its prefix.
     h = commitment.elements
+    word = _word_evaluator(G, h)
     try:
         for ((family, i, l, _), target), row in zip(
                 relation_targets(G, generators, h, c.primes), c.rows):
-            if product_of_powers(G, compress(zip(h, row), row)) != target:
+            if word(row) != target:
                 return _UNMET[family].format(i=i, l=l)
-        if t >= 1 and G.power(h[0], commitment.primes[0]) != G.identity:
+        if t >= 1 and h[0] != G.identity and G.power(h[0], c.primes[0]) != G.identity:
             return "first element's prime power is not the identity"
     except InvalidCodeError as exc:
         return f"committed element code is invalid: {exc}"
@@ -526,7 +575,9 @@ def verifier_finalize(state: VerifierState, response: Response) -> Outcome:
     factor r_i; otherwise the protocol aborts.  Malformed responses (wrong
     shapes, non-integers, an exponent at position j outside [0, r_j)) abort
     as well, in both protocols alike: ``_row_fault`` checks each row against
-    the primes the verifier holds, so no exponent is reduced.
+    the primes the verifier holds, so no exponent is reduced.  Words come
+    from one ``_word_evaluator``, so a row repeating an earlier row's word
+    costs no query.
     """
     G, elements = state.G, state.elements
     t = len(elements)
@@ -535,6 +586,7 @@ def verifier_finalize(state: VerifierState, response: Response) -> Outcome:
         return Outcome.abort("response bits and exponents must be sequences")
     if len(bits) != t or len(exponents) != t:
         return Outcome.abort("response shape does not match the round count")
+    word = _word_evaluator(G, elements)
     factors = []
     for i in range(1, t + 1):
         bit = bits[i - 1]
@@ -544,9 +596,7 @@ def verifier_finalize(state: VerifierState, response: Response) -> Outcome:
         fault = _row_fault(row, i - 1, state.primes)
         if fault is not None:
             return Outcome.abort(f"round {i}: malformed exponent row: {fault}")
-        # The row has i - 1 entries, so zip stops at h_{i-1}: no prefix copy.
-        word = product_of_powers(G, compress(zip(elements, row), row))
-        if word == elements[i - 1]:
+        if word(row) == elements[i - 1]:
             factors.append(1)
         elif bit == state.secret_bits[i - 1]:
             factors.append(state.primes[i - 1])

@@ -83,20 +83,30 @@ def relation_targets(
 ) -> Iterator[tuple[tuple[str, int, int, int], ElementCode]]:
     """Each relation of the schedule with its target, computed when reached.
 
-    A generator costs nothing, a power h_i^{r_i} about log2 r_i products,
-    and the conjugates by h_i one inverse of h_i plus two products each.
+    A target with an identity operand is decided by code equality, at no
+    query: h_i^{r_i} is h_i when h_i is the identity, and h_i·h_l·h_i^-1 is
+    h_l when h_i or h_l is.  Otherwise a generator costs nothing, a power
+    h_i^{r_i} about log2 r_i products, and the conjugates by h_i one inverse
+    of h_i, made at the first that needs it, plus two products each.
     """
+    identity = G.identity
     for relation in relation_schedule(len(generators), len(elements)):
         family, i, l, _ = relation
         if family == "generator":
             yield relation, generators[i - 1]
         elif family == "power":
-            yield relation, G.power(elements[i - 1], primes[i - 1])
-        else:
             h = elements[i - 1]
+            yield relation, h if h == identity else G.power(h, primes[i - 1])
+        else:
+            h, k = elements[i - 1], elements[l - 1]
             if l == 1:
+                h_inv = None
+            if h == identity or k == identity:
+                yield relation, k
+                continue
+            if h_inv is None:
                 h_inv = G.inverse(h)
-            yield relation, G.product(G.product(h, elements[l - 1]), h_inv)
+            yield relation, G.product(G.product(h, k), h_inv)
 
 
 #: ``build_commitment``'s error when a relation target leaves its prefix.

@@ -51,7 +51,7 @@ from orderproof.protocol import (
     response_from_wire,
     response_to_wire,
 )
-from orderproof.prover import PROVERS, Commitment
+from orderproof.prover import PROVERS, Commitment, relation_targets
 
 
 S4 = "perm:4:(1 2),(1 2 3 4)"
@@ -102,15 +102,15 @@ def test_challenge_carries_tower_in_2msg_only(group_for):
 
 
 def _paid_rounds(state, challenge):
-    """Rounds whose secret bit is 1 and whose mask is not the identity."""
+    """Rounds whose secret bit is 1 and whose element and mask are not the identity."""
     G = state.G
-    return sum(1 for s, x in zip(state.secret_bits, _masks(state, challenge))
-               if s and x != G.identity)
+    return sum(1 for s, h, x in zip(state.secret_bits, state.elements, _masks(state, challenge))
+               if s and h != G.identity and x != G.identity)
 
 
 @pytest.mark.parametrize("spec", [S4, WREATH])
 def test_challenge_pays_one_product_per_masked_round(group_for, spec):
-    # h^s * x costs a product only when s = 1 and x is not the identity.
+    # h^s * x costs a product only when s = 1 and neither h nor x is the identity.
     G = group_for(spec)
     primes = (2, 3)
     get_chain(G, refine_with_primes(G, compute_pcgs(G), primes).elements)
@@ -330,6 +330,45 @@ def test_hostile_row_count_is_refused_lazily():
     assert peak < 1 << 20
 
 
+def _padded_commitment(G, t):
+    """G's honest commitment padded with identities to t elements.
+
+    Each pad carries the prime 13, and every row holds 12, the largest
+    exponent in range there, at each pad position; the other entries are
+    the honest decomposition of the row's target, so every relation holds.
+    """
+    honest = honest_commitment(G)
+    k = len(honest.elements)
+    elements = honest.elements + (G.identity,) * (t - k)
+    primes = honest.primes + (13,) * (t - k)
+    chain = get_chain(G, honest.elements)
+    rows = tuple(
+        chain.decompose(min(prefix, k), target) + (12,) * max(0, prefix - k)
+        for (_, _, _, prefix), target in relation_targets(G, G.generators, elements, primes))
+    return Commitment(elements, primes, rows)
+
+
+@pytest.mark.parametrize("t", [84, 164])
+def test_identity_padded_commitment_costs_the_honest_queries(t):
+    # cyclic:12's honest commitment (g^6, g^9, g^3, g) padded with
+    # identities passes every check.  An identity base adds nothing to a
+    # word, a target with an identity operand is read off by code equality,
+    # and a pad's row repeats a word already evaluated, so the check makes
+    # the honest commitment's 22 queries.  Paying for the powers of the pads
+    # and a product per pad entry costs about t^3 (921,104 queries at t = 84).
+    G = make_group(parse_group_spec("cyclic:12"))
+    padded = _padded_commitment(G, t)
+    costs = []
+    for commitment in (honest_commitment(G), padded):
+        meter = QueryMeter(G)
+        started = time.perf_counter()
+        with meter.measuring():
+            assert verifier_check_commitment(G, G.generators, commitment) is None
+        assert time.perf_counter() - started < 1.0
+        costs.append(meter.snapshot())
+    assert costs == [QueryCounts(product=19, inverse=3)] * 2
+
+
 # -- finalize trichotomy ----------------------------------------------------------
 
 def _hand_state(G):
@@ -460,9 +499,33 @@ def _reference_eval_word(G, bases, exps):
     return G.identity if acc is None else acc
 
 
-def _reference_finalize(state, response):
-    """``verifier_finalize`` as a plain loop over every bit and exponent."""
+def _priced_word(G, bases, exps, powers, words):
+    """The word of ``exps`` over ``bases`` at the verifier's price.
+
+    An identity base, or a power that comes out the identity, costs no
+    query, nor does a product with the identity so far; ``powers`` and
+    ``words`` hold what one call has already computed.
+    """
+    terms = tuple((j, e) for j, e in enumerate(exps) if e != 0 and bases[j] != G.identity)
+    if terms not in words:
+        acc = G.identity
+        for term in terms:
+            if term not in powers:
+                powers[term] = G.power(bases[term[0]], term[1])
+            if powers[term] != G.identity:
+                acc = powers[term] if acc == G.identity else G.product(acc, powers[term])
+        words[terms] = acc
+    return words[terms]
+
+
+def _reference_finalize(state, response, priced=True):
+    """``verifier_finalize`` as a plain loop over every bit and exponent.
+
+    ``priced`` evaluates words at the verifier's price (``_priced_word``);
+    otherwise every nonzero term pays for its power and its product.
+    """
     G = state.G
+    powers, words = {}, {}
     t = len(state.elements)
     bits, exponents = response.bits, response.exponents
     if not isinstance(bits, (tuple, list)) or not isinstance(exponents, (tuple, list)):
@@ -483,7 +546,10 @@ def _reference_finalize(state, response):
             return Outcome.abort(f"round {i}: malformed exponent row: non-integer entry")
         if any(a < 0 or a >= state.primes[j] for j, a in enumerate(row)):
             return Outcome.abort(f"round {i}: malformed exponent row: entry outside [0, r_j)")
-        word = _reference_eval_word(G, state.elements[: i - 1], row)
+        if priced:
+            word = _priced_word(G, state.elements, row, powers, words)
+        else:
+            word = _reference_eval_word(G, state.elements[: i - 1], row)
         if word == state.elements[i - 1]:
             factors.append(1)
         elif bit == state.secret_bits[i - 1]:
@@ -553,7 +619,8 @@ def _edited_response(draw, state, honest):
 @given(data=st.data(), case=st.integers(0, 2))
 def test_finalize_matches_per_element_reference(data, case):
     # Same Outcome, reason string included, and the same oracle queries, on
-    # the hand tower and on S4's 2-message and 3-message towers.
+    # the hand tower and on S4's 2-message and 3-message towers; a reference
+    # that pays for every nonzero term gives the same Outcome.
     state, honest = _finalize_cases()[case]
     response = data.draw(_edited_response(state, honest))
     outcomes = []
@@ -563,6 +630,26 @@ def test_finalize_matches_per_element_reference(data, case):
             outcome = finalize(state, response)
         outcomes.append((outcome, meter.snapshot()))
     assert outcomes[0] == outcomes[1]
+    assert _reference_finalize(state, response, priced=False) == outcomes[0][0]
+
+
+def test_finalize_pays_nothing_for_identity_bases_or_repeated_words(group_for):
+    # Over (1, g^4, g^8, g^8) in cyclic:12, round 3's row (1, 2) pays one
+    # squaring for g^8 and nothing for its identity base, and round 4's row
+    # (0, 2, 0) has the same word, so it pays nothing.  A reference paying
+    # for every nonzero term makes three products, for the same Outcome.
+    G = group_for("cyclic:12")
+    g = G.generators[0]
+    elements = (G.identity, G.power(g, 4), G.power(g, 8), G.power(g, 8))
+    state = VerifierState(G, elements, primes=(2, 3, 3, 3), secret_bits=(0, 0, 0, 0))
+    response = Response(bits=(0, 0, 0, 0), exponents=((), (1,), (1, 2), (0, 2, 0)))
+    costs = []
+    for finalize in (verifier_finalize, functools.partial(_reference_finalize, priced=False)):
+        meter = QueryMeter(G)
+        with meter.measuring():
+            assert finalize(state, response) == Outcome.of(3)
+        costs.append(meter.snapshot())
+    assert costs == [QueryCounts(product=1), QueryCounts(product=3)]
 
 
 # -- full runs ----------------------------------------------------------------
@@ -652,6 +739,22 @@ def test_runner_aborts_on_a_verifier_prime_it_cannot_certify(group_for, primes, 
     # the refinement as RefinementError, which the runner turns into an
     # abort before anything is sent.
     G = group_for("cyclic:12")
+    with pytest.raises(RefinementError, match=reason):
+        refine_with_primes(G, compute_pcgs(G), primes)
+    outcome, transcript = run_protocol_2msg(G, primes, _factory("honest"), 0)
+    assert outcome.reason.startswith("verifier tower construction failed")
+    assert reason in outcome.reason
+    assert transcript.messages == [] and transcript.queries.total == 0
+
+
+@pytest.mark.parametrize("primes,reason", [
+    ((4,), "4 is not prime"),
+    ((2**89 - 1,), "the bound of exact primality tests"),
+])
+def test_trivial_group_refuses_a_verifier_prime_it_cannot_certify(group_for, primes, reason):
+    # The trivial group's tower is empty whatever the primes, but a bad
+    # prime is refused before that, as on any other group.
+    G = group_for("cyclic:1")
     with pytest.raises(RefinementError, match=reason):
         refine_with_primes(G, compute_pcgs(G), primes)
     outcome, transcript = run_protocol_2msg(G, primes, _factory("honest"), 0)
@@ -810,18 +913,18 @@ def test_large_levels_draw_masks_from_the_table(group_for):
 #: the order in which each cheating round draws its random numbers; the
 #: seed-2 3-message order_forger run is accepted with the forged order 48.
 PINNED_S4_DIGESTS = {
-    ("2msg", "honest", 1): "27b5beeaef13c4a880ba84cffd894c8e",
-    ("2msg", "honest", 2): "5880432198eabac7f1349fe654e97e50",
-    ("2msg", "guess_inflate", 1): "c41deccdc2f6a0c56187fa8ed694f227",
-    ("2msg", "guess_inflate", 2): "b801fbcd69e8d6f8751ec23cfb45c1e4",
-    ("3msg", "honest", 1): "70289f13c3e6378689cd0379413f0a4a",
-    ("3msg", "honest", 2): "527183598af308cc9d355f48ab786c47",
-    ("3msg", "guess_inflate", 1): "70289f13c3e6378689cd0379413f0a4a",
-    ("3msg", "guess_inflate", 2): "527183598af308cc9d355f48ab786c47",
-    ("2msg", "deflate", 1): "0e9cad12821a825ffba4d6abde390c0b",
-    ("2msg", "order_forger", 1): "31aee273e467070da78beb2b9f337242",
-    ("3msg", "order_forger", 1): "b909e3aa436f1eec0f5e1eb6e045bd13",
-    ("3msg", "order_forger", 2): "7b0f532cb0cdd4625a70110c4eb9d9dc",
+    ("2msg", "honest", 1): "8beb8f8ddef93819eb1a20b882dbc68e",
+    ("2msg", "honest", 2): "b7e1af1f3d6114e000d268a749150d5b",
+    ("2msg", "guess_inflate", 1): "f3294918a6be64fd739ec4f88caf4b3a",
+    ("2msg", "guess_inflate", 2): "775ab8372e36d9f222b0a6baf5508314",
+    ("3msg", "honest", 1): "372d3e58de0b1d85e1b4c663dbd81078",
+    ("3msg", "honest", 2): "bd31e8f4a2a670f4b244faa491595f5b",
+    ("3msg", "guess_inflate", 1): "372d3e58de0b1d85e1b4c663dbd81078",
+    ("3msg", "guess_inflate", 2): "bd31e8f4a2a670f4b244faa491595f5b",
+    ("2msg", "deflate", 1): "5ea04587b972120097863091571acb5f",
+    ("2msg", "order_forger", 1): "42e511de9ead7253f2603dc0347b0438",
+    ("3msg", "order_forger", 1): "dd966edb0ea1687ba230050de207dd4b",
+    ("3msg", "order_forger", 2): "41a873d8ae136a9c0f10eaac9795c719",
 }
 
 
@@ -844,8 +947,8 @@ def test_transcript_digests_are_pinned(protocol, prover, seed):
 #: prover plays an inflated round: seed 1 aborts there on a wrong bit, seed 2
 #: is accepted with the inflated order 36.
 PINNED_C12_INFLATE_DIGESTS = {
-    1: "942ab83eeeed85ba3406e0905bd91c77",
-    2: "ff24ef92b21be61a739281ae5b774b8a",
+    1: "829e1a7930d813ecb9ae9acf15cd66e0",
+    2: "24bf21bacd5768a781f2befb1e7e82a0",
 }
 
 

@@ -38,6 +38,7 @@ from .polycyclic import (
     get_chain,
     group_order,
     refine_with_primes,
+    table_entries,
 )
 from .prover import inflatable_rounds, list_adversaries
 from .sampling import ExactSampler, SubproductSampler, tv_distance_empirical
@@ -179,6 +180,7 @@ def _cmd_pcgs(args) -> int:
     payload.update(
         # G is fresh, so every query it has answered is set-up.
         setup_queries=G.query_counts().total,
+        table_entries=table_entries(G),
         length=len(sequence),
         elements=[code.hex() for code in sequence.elements],
         primes=None if sequence.primes is None else list(sequence.primes),

@@ -5,28 +5,33 @@ elements whose prefix subgroups form a normal tower with cyclic quotients.
 This module computes such sequences from the derived series, enumerated by
 coset steps (Dimino's closure, with one enumeration of the whole group per
 oracle), refines them with a descending prime-power exponent schedule so
-that every quotient order is 1 or a known prime, and builds one normal-form
-table per subgroup chain: the codes in insertion order, every prefix
-subgroup a prefix of them, and a dict from each code to its index, whose
-mixed-radix digits are the element's exponent tuple (one int per element,
-however long the tower).  The table doubles as the classical stand-in for
-the decomposition and membership queries that a computationally stronger
-party would answer.  ``compact_tower`` drops the identity and repeated
-positions of a refined tower by code equality alone; the honest 3-message
-prover commits to that tower.  A tower built block by block from *pure
-powers* k^B of another tower's elements k (powers with no lower
-normal-form digit), each step dividing the last, and whose other positions
-lie in the level before them, gets its chain from the other's table by
-index arithmetic (``SubgroupChain.view``), with no oracle query: a shared
-table, O(t) memory, when each step takes a whole block, and otherwise a
-table of its own listed in the order the coset step would give.  So the
-whole group is enumerated twice per oracle, by the closure and by the
-pcgs chain, and prime refinement needs no third enumeration when its
-tower is pure (cyclic:32768 with the prime 2).  The compacted tower and a
-forged tower are shared views.  Every result is memoized on the oracle (see
-``groups.memoized``), so it is freed with the oracle.  Every enumeration is
-bounded by the one closure bound ``groups.DEFAULT_CLOSURE_CAP``, so a memo
-key names only what the result depends on: the tower or the primes.
+that every quotient order is 1 or a known prime, and builds normal-form
+tables: the codes in insertion order, every prefix subgroup a prefix of
+them, and a dict from each code to its index, whose mixed-radix digits are
+the element's exponent tuple (one int per element, however long the
+tower).  A table doubles as the classical stand-in for the decomposition
+and membership queries that a computationally stronger party would
+answer.  ``compact_tower`` drops the identity and repeated positions of a
+refined tower by code equality alone; the honest 3-message prover commits
+to that tower.
+
+A tower built block by block from *pure powers* k^B of another tower's
+elements k (powers with no lower normal-form digit), each step dividing
+the last, and whose other positions lie in the level before them, is a
+view of the other's table (``SubgroupChain.view``): no oracle query, no
+copied code, O(t) memory.  A view that takes each block whole reads the
+table index for index; one that splits a block into prime steps, as prime
+refinement does, maps each of its indices onto the table's by one unit per
+step (``_MappedView``), and a view of a view maps onto the same table.  So
+a pure tower has one table, the pcgs chain's: the whole group is
+enumerated twice per oracle, by the closure and by the pcgs chain, and
+prime refinement, compaction and a forged tower add no table
+(cyclic:32768 with the prime 2).  An impure refined tower still gets a
+table of its own, built by coset steps.  Every result is memoized on the
+oracle (see ``groups.memoized``), so it is freed with the oracle.  Every
+enumeration is bounded by the one closure bound
+``groups.DEFAULT_CLOSURE_CAP``, so a memo key names only what the result
+depends on: the tower or the primes.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Sequence
 
 from .groups import (
@@ -163,6 +167,11 @@ class SubgroupChain:
     separate normality check (the 3-message commitment check).  A quotient
     order search or a level past ``DEFAULT_CLOSURE_CAP`` raises
     ClosureOverflowError.
+
+    Each radix is (position, m, unit): a digit d at that position stands
+    for table index d·unit.  In a table built here, and in a view that
+    shares it index for index, the unit is the level size before the
+    position; a view whose units differ is a ``_MappedView``.
     """
 
     def __init__(self, G: GroupOracle, elements: Sequence[ElementCode]):
@@ -172,8 +181,8 @@ class SubgroupChain:
         self._index: dict[ElementCode, int] = {G.identity: 0}
         self._codes = [G.identity]
         self._sizes = [1]
-        # The radices of an index: (position, m) where m > 1, lowest first.
-        self._radices: list[tuple[int, int]] = []
+        # The radices of an index: (position, m, unit) where m > 1, lowest first.
+        self._radices: list[tuple[int, int, int]] = []
         for h in elements:
             self._append(h)
 
@@ -205,13 +214,13 @@ class SubgroupChain:
             index.update(zip(codes[size:], range(size, len(codes))))
             if len(index) != len(codes):
                 raise ChainError("normal-form collision: sequence is not polycyclic")
-            self._radices.append((len(self.elements), m))
+            self._radices.append((len(self.elements), m, size))
         self.elements += (h,)
         self.quotient_orders += (m,)
         self._sizes.append(len(codes))
 
     def view(self, elements: Sequence[ElementCode]) -> SubgroupChain | None:
-        """The chain of ``elements`` as a view of this table, or None.
+        """The chain of ``elements`` as a view of this chain's table, or None.
 
         Number this chain's positions of quotient order > 1 as blocks
         q = 0, 1, …: block q's element k_q has order m_q over the level
@@ -220,10 +229,9 @@ class SubgroupChain:
         so k_q^B, for B < m_q, sits at index B·|L_{q−1}| with no lower
         digit: a *pure power* of block q.  The view walks ``elements``
         with a state (q, s), under which its level is L_{q−1}·⟨k_q^s⟩, of
-        size |L_{q−1}|·m_q/s: the codes whose block-q digit is a multiple
-        of s, over every lower digit.  It starts at (0, m_0), the trivial
-        level.  An element h of this table, with index below its
-        ``group_order()``, is
+        size |L_{q−1}|·m_q/s: the indices whose block-q digit is a
+        multiple of s, over every lower digit.  It starts at (0, m_0), the
+        trivial level.  An element h of this chain's top level is
         - *trivial* (quotient order 1) when it lies in that level: its
           index is below |L_{q−1}|, or below |L_q| with a block-q digit
           that s divides;
@@ -235,34 +243,33 @@ class SubgroupChain:
           becomes (q, B).
         Anything else returns None.  At a pure step the coset step would
         list, for a in 1..r−1, u·h^a over the level's codes u in order.
-        A level code u with source index p has block-q digit b, a
-        multiple of s at most m_q − s, and a·B ≤ s − B, so b + a·B < m_q:
-        adding a·B to that digit carries into no higher block, and
-        u·h^a is the code at source index p + a·B·|L_{q−1}|.  So the
-        view lists the same codes in the same order as a chain built
-        from scratch, with no oracle query.
+        A level code u at index p has block-q digit b, a multiple of s at
+        most m_q − s, and a·B ≤ s − B, so b + a·B < m_q: adding a·B to
+        that digit carries into no higher block, and u·h^a is the code at
+        index p + a·B·|L_{q−1}|.  So the view lists the same codes in the
+        same order as a chain built from scratch, with no oracle query.
 
-        When every step takes a whole block (B = 1 and s = m_q) the
-        codes are this chain's, in its order: the view shares its codes
-        list and index dict, and keeps only its own level sizes, radices
-        and quotient orders, O(t) memory.  Otherwise (a block split into
-        prime steps, as prime refinement splits it) the view builds its
-        own list, one source index lookup per code, and its own dict.  A
-        view is never grown.
+        Those indices are this chain's.  Its block-q digit b stands for
+        table index b·unit_q, so the view's digit d at a pure step k_q^B
+        stands for d·B·unit_q: the view keeps a reference to the table and
+        one (position, r, B·unit_q) radix per step, O(t) memory, and never
+        copies a code.  A view of a view maps onto the same table.  When
+        every unit is the level size before its position (each step takes
+        a whole block of a chain indexed as its table) the view's indices
+        are the table's and it reads the table directly; otherwise it is a
+        ``_MappedView``.  A view is never grown.
         """
-        codes, index = self._codes, self._index
-        top = self._sizes[-1]
-        radix = [m for _, m in self._radices]
+        radix = [m for _, m, _ in self._radices]
         bases = [1]  # bases[q] = |L_{q−1}|
         for m in radix:
             bases.append(bases[-1] * m)
         q, s, size = 0, radix[0] if radix else 1, 1
         orders: list[int] = []
-        steps: list[tuple[int, int, int]] = []  # (position, B·|L_{q−1}|, r)
-        whole = True
+        radices: list[tuple[int, int, int]] = []
+        sizes = [1]
         for h in elements:
-            k = index.get(h, top)
-            if k >= top:
+            k = self.level_index(len(self), h)
+            if k is None:
                 return None
             block = bisect_right(bases, k) - 1
             if block < q or (block == q and k // bases[q] % s == 0):
@@ -276,28 +283,18 @@ class SubgroupChain:
                 if lower or s % power:
                     return None
                 m = s // power
-                whole = whole and m == radix[q]
-                steps.append((len(orders), k, m))
+                radices.append((len(orders), m, power * self._radices[q][2]))
                 s = power
             orders.append(m)
             size *= m
-        chain = SubgroupChain(self.G, ())
-        if whole:
-            chain._codes, chain._index = codes, index
-        else:
-            # The dict grows a step at a time, as in the coset step: one
-            # dict(zip(...)) at the end raised the peak RSS of cyclic:32768's
-            # set-up by about 0.6 MB (CPython 3.11).
-            level, own = chain._codes, chain._index
-            for _, unit, m in steps:
-                start = len(level)
-                for offset in range(unit, m * unit, unit):
-                    level.extend([codes[index[u] + offset] for u in islice(level, start)])
-                own.update(zip(islice(level, start, None), range(start, len(level))))
-        chain._radices = [(position, m) for position, _, m in steps]
-        for m in orders:
-            chain._sizes.append(chain._sizes[-1] * m)
+            sizes.append(size)
+        mapped = any(unit != sizes[position] for position, _, unit in radices)
+        chain = (_MappedView if mapped else SubgroupChain)(self.G, ())
+        chain._codes, chain._index = self._codes, self._index
+        chain._radices, chain._sizes = radices, sizes
         chain.elements, chain.quotient_orders = tuple(elements), tuple(orders)
+        if mapped:
+            chain._prepare()
         return chain
 
     def __len__(self) -> int:
@@ -321,6 +318,12 @@ class SubgroupChain:
         """A copy of the j-th prefix subgroup's elements, in insertion order."""
         return self._codes[: self._sizes[j]]
 
+    def level_index(self, j: int, h: ElementCode) -> int | None:
+        """The k with ``level_element(j, k) == h``, or None if h is not in level j."""
+        self._check_level(j)
+        k = self._index.get(h)
+        return k if k is not None and k < self._sizes[j] else None
+
     def group_order(self) -> int:
         return self._sizes[-1]
 
@@ -339,10 +342,111 @@ class SubgroupChain:
             return (0,) * j
         # A member of level j has no digit past position j: k reaches 0 first.
         row = [0] * j
-        for position, m in self._radices:
+        for position, m, _ in self._radices:
             if not k:
                 break
             k, row[position] = divmod(k, m)
+        return tuple(row)
+
+
+class _MappedView(SubgroupChain):
+    """A view whose indices are not its table's (see ``SubgroupChain.view``).
+
+    Its index with digits d at its radices (position, m, unit) is the
+    table index Σ d·unit.  The radices of one table block come in a run
+    whose units descend from the block's top (m·unit at its first radix,
+    the size of the table's level that ends the block), each m the ratio
+    of the unit before to its own, so a table index k reads back the
+    digit d = k // unit % m at each radix.  Runs come in table order, and
+    each but the last run of a level covers its block.  So level j holds
+    exactly the table indices k below the top of its last run whose digit
+    in that block is a multiple of the run's last unit: k < top and
+    k % unit < base, base being the top of the run before (1 for the
+    first).  ``_bounds[j]`` is (top, unit, base), so membership costs no
+    pass over the radices; ``decompose`` and ``level_index`` make one and
+    stop as soon as the remaining index is 0.
+    ``level_element``, the verifier's mask draw, reads the digits a chunk
+    at a time: consecutive radices whose m's multiply to at most
+    ``_CHUNK`` share one list of the table offsets of their digit
+    combinations, so cyclic:32768's 15 binary radices take two steps.
+    """
+
+    _CHUNK = 256
+
+    def _prepare(self) -> None:
+        """Set ``_chunks`` and ``_bounds`` from the radices: O(t) memory."""
+        chunks: list[tuple[int, Sequence[int]]] = []
+        for _, m, unit in self._radices:
+            if chunks and chunks[-1][0] * m <= self._CHUNK:
+                size, offsets = chunks[-1]
+                chunks[-1] = (size * m, [o + d * unit for d in range(m) for o in offsets])
+            else:
+                chunks.append((m, range(0, m * unit, unit)))
+        self._chunks = chunks
+        # Level j's bound is the one after the last radix before position j.
+        bounds, top, base = [(1, 1, 1)], 1, 1
+        for position, m, unit in self._radices:
+            bounds += [bounds[-1]] * (position + 1 - len(bounds))
+            if m * unit > top:  # the first radix of the next block
+                base, top = top, m * unit
+            bounds.append((top, unit, base))
+        bounds += [bounds[-1]] * (len(self.elements) + 1 - len(bounds))
+        self._bounds = bounds
+
+    def level_element(self, j: int, k: int) -> ElementCode:
+        if not 0 <= k < self._sizes[j]:
+            raise IndexError(f"index {k} out of range for level {j}")
+        table = 0
+        for size, offsets in self._chunks:
+            if not k:
+                break
+            table += offsets[k % size]
+            k //= size
+        return self._codes[table]
+
+    def level_elements(self, j: int) -> list[ElementCode]:
+        table = [0]
+        for position, m, unit in self._radices:
+            if position >= j:
+                break
+            table += [a + t for a in range(unit, m * unit, unit) for t in table]
+        return list(map(self._codes.__getitem__, table))
+
+    def _table_index(self, j: int, h: ElementCode) -> int | None:
+        """h's table index when h lies in level j, else None."""
+        self._check_level(j)
+        top, unit, base = self._bounds[j]
+        k = self._index.get(h, top)
+        return k if k < top and k % unit < base else None
+
+    def level_index(self, j: int, h: ElementCode) -> int | None:
+        # A pass of its own, not decompose's row: a lookup builds no list.
+        k = self._table_index(j, h)
+        if k is None:
+            return None
+        local, sizes = 0, self._sizes
+        for position, m, unit in self._radices:
+            if not k:
+                break
+            digit = k // unit % m
+            k -= digit * unit
+            local += digit * sizes[position]
+        return local
+
+    def is_member(self, j: int, h: ElementCode) -> bool:
+        return self._table_index(j, h) is not None
+
+    def decompose(self, j: int, h: ElementCode) -> tuple[int, ...] | None:
+        k = self._table_index(j, h)
+        if k is None:
+            return None
+        row = [0] * j
+        for position, m, unit in self._radices:
+            if not k:
+                break
+            digit = k // unit % m
+            k -= digit * unit
+            row[position] = digit
         return tuple(row)
 
 
@@ -351,12 +455,13 @@ def get_chain(
 ) -> SubgroupChain:
     """The memoized SubgroupChain of ``elements`` (never changed once built).
 
-    The one accessor of a tower's table.  On a miss the table is built
-    from ``source``'s when ``SubgroupChain.view`` accepts the tower, at no
-    query: it shares ``source``'s table when each of its steps takes a
-    whole block of ``source``, and otherwise gets a table of its own listed
-    by index arithmetic on ``source``'s.  Any other tower, or any tower
-    when ``source`` is None, gets a table of its own built by coset steps.
+    The one accessor of a tower's table.  On a miss the chain is
+    ``source.view(elements)`` when ``SubgroupChain.view`` accepts the
+    tower: it reads ``source``'s table, index for index when each of its
+    steps takes a whole block of ``source`` and through one unit per step
+    otherwise, at no query and with no code copied.  Any other tower, or
+    any tower when ``source`` is None, gets a table of its own built by
+    coset steps.
     """
     elements = tuple(elements)
 
@@ -365,6 +470,19 @@ def get_chain(
         return view or SubgroupChain(G, elements)
 
     return memoized(G, ("chain", elements), build)
+
+
+def table_entries(G: GroupOracle) -> int:
+    """Entries in the distinct normal-form tables of the chains memoized on G.
+
+    A view reads the table of the chain it was taken from, so it adds none.
+    """
+    tables = {
+        id(chain._codes): len(chain._codes)
+        for chain in G.precomputed.values()
+        if isinstance(chain, SubgroupChain)
+    }
+    return sum(tables.values())
 
 
 def _group_elements(G: GroupOracle) -> list[ElementCode]:
@@ -528,15 +646,16 @@ def refine_with_primes(
     Requires ``primes`` to be primes below ``MILLER_RABIN_EXACT_BELOW``,
     checked first, so the trivial group refuses a bad prime as any group
     does, and to cover every prime factor of the group order: the
-    result is validated, through the memoized normal-form table of the
+    result is validated, through the memoized normal-form chain of the
     whole tower, against the quotient-order invariant and the enumerated
     group order, and a violation raises RefinementError.  ``get_chain``
-    takes that table from the pcgs chain's by ``SubgroupChain.view`` when
-    the refined tower is pure: each refined element k^e lies in the level
-    before it, or is a power k^B with no lower digit whose B divides the step before it.
-    Then the table costs no query, and the refinement costs only its power
-    queries (40 on the benchmark's cyclic:32768, against 32,807 with a
-    table built by coset steps).  Under one prime p, on a p-group as the
+    makes that chain a view of the pcgs chain (``SubgroupChain.view``)
+    when the refined tower is pure: each refined element k^e lies in the
+    level before it, or is a power k^B with no lower digit whose B divides
+    the step before it.  Then the chain costs no query and holds no table
+    of its own, and the refinement costs only its power queries (40 on
+    the benchmark's cyclic:32768, against 32,807 with a table built by
+    coset steps).  Under one prime p, on a p-group as the
     check requires, every refined tower is pure: k^(p^j) lies in the level
     before k or is a pure power.  Under several primes an exponent 3^j of
     an element k of quotient order 2 leaves lower digits unless k² is the

@@ -232,13 +232,16 @@ def inflatable_rounds(chain: SubgroupChain) -> list[int]:
 def _pick_other_element(
     chain: SubgroupChain, level: int, avoid: ElementCode, rng: Random
 ) -> ElementCode:
-    """Deterministically pick a level element different from ``avoid``."""
-    pool = chain.level_elements(level)
-    avoid_index = pool.index(avoid)
-    index = rng.randrange(len(pool) - 1)
+    """An element of the level other than ``avoid``, a member, picked by ``rng``.
+
+    Draws an index of the level other than ``avoid``'s and looks it up in
+    the chain, so the level is never copied.
+    """
+    avoid_index = chain.level_index(level, avoid)
+    index = rng.randrange(chain.level_order(level) - 1)
     if index >= avoid_index:
         index += 1
-    return pool[index]
+    return chain.level_element(level, index)
 
 
 class GuessInflateProver(HonestProver):

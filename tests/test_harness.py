@@ -273,6 +273,18 @@ def test_cli_pcgs(capsys):
     # pcgs, order, refinement and the refined tower's table, each paid once;
     # the compacted tower's table is a view of the refined one, at no query.
     assert payload["setup_queries"] == 48
+    # Under two primes the refined tower is not pure over the pcgs tower
+    # (g), so it gets a table of its own: two tables of 12 entries, and the
+    # compacted tower's view adds none.
+    assert payload["table_entries"] == 24
+
+
+def test_cli_pcgs_holds_one_table_for_a_pure_tower(capsys):
+    # The refined and compacted towers of cyclic:32768 map their indices
+    # onto the pcgs table: one table of the group's 32768 elements.
+    assert main(["pcgs", "--primes", "2", "--group", "cyclic:32768@seed=7"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["setup_queries"], payload["table_entries"]) == (65567, 32768)
 
 
 def test_cli_pcgs_without_primes_has_no_round_counts(capsys):

@@ -4,6 +4,7 @@ from random import Random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from orderproof import (
 from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
 from orderproof.polycyclic import (
     MILLER_RABIN_EXACT_BELOW,
+    _MappedView,
     _conjugation_closure,
     _derived_series,
     is_prime,
@@ -617,27 +619,35 @@ def test_a_tower_that_adds_codes_elsewhere_gets_its_own_table():
 # -- views by index arithmetic -----------------------------------------------------
 
 def _assert_same_chain(chain, fresh):
-    """``chain`` lists ``fresh``'s codes in its order, with its levels and digits."""
+    """``chain`` lists ``fresh``'s codes in its order, with its levels and digits.
+
+    The probes include codes of ``chain``'s table outside ``fresh``'s group.
+    """
     assert chain.elements == fresh.elements
     assert chain.quotient_orders == fresh.quotient_orders
     assert chain.level_elements(len(chain)) == fresh.level_elements(len(fresh))
     top = fresh.level_elements(len(fresh))
-    probes = top[:: max(1, len(top) // 256)]
+    table = chain._codes
+    probes = top[:: max(1, len(top) // 256)] + table[:: max(1, len(table) // 256)]
     for j in range(len(chain) + 1):
         assert chain.level_order(j) == fresh.level_order(j)
         for h in probes:
             assert chain.is_member(j, h) == fresh.is_member(j, h)
             assert chain.decompose(j, h) == fresh.decompose(j, h)
+            k = chain.level_index(j, h)
+            assert k == fresh.level_index(j, h)
+            assert k is None or chain.level_element(j, k) == h
 
 
-#: (spec, primes, the table the refined tower's view takes).  cyclic:32768
-#: splits its block of order 16384 into 2-steps, cyclic:4096 its only
-#: block, c3xc9 its block of order 9 into two 3-steps; S4's refined tower
-#: takes each block whole and shares the pcgs table.
+#: (spec, primes, how the refined tower's view reads the pcgs table).
+#: cyclic:32768 splits its block of order 16384 into 2-steps, cyclic:4096
+#: its only block, c3xc9 its block of order 9 into two 3-steps, so their
+#: views map their indices onto the table's; S4's refined tower takes each
+#: block whole and reads the pcgs table index for index.
 PURE_REFINED_CASES = [
-    ("cyclic:32768@seed=7", (2,), "own"),
-    ("cyclic:4096", (2,), "own"),
-    ("direct:cyclic:3,cyclic:9", (3,), "own"),
+    ("cyclic:32768@seed=7", (2,), "mapped"),
+    ("cyclic:4096", (2,), "mapped"),
+    ("direct:cyclic:3,cyclic:9", (3,), "mapped"),
     (get_fixture("s4").spec, get_fixture("s4").primes, "shared"),
 ]
 
@@ -649,10 +659,30 @@ def test_refined_view_matches_a_chain_built_from_scratch(spec, primes, table):
     source = get_chain(G, pcgs.elements)
     refined = refine_with_primes(G, pcgs, primes)
     chain = get_chain(G, refined.elements)
-    assert (chain._codes is source._codes) == (table == "shared")
-    assert (chain._index is source._index) == (table == "shared")
+    assert chain._codes is source._codes and chain._index is source._index
+    assert isinstance(chain, _MappedView) == (table == "mapped")
     _assert_same_chain(chain, SubgroupChain(G, refined.elements))
     _assert_same_chain(source.view(refined.elements), chain)
+
+
+def test_a_split_refined_view_holds_no_table():
+    # The refined view of cyclic:32768 keeps a reference to the pcgs table
+    # and one radix per step: no code list, no dict, no query.
+    G = make_group(parse_group_spec("cyclic:32768@seed=7"))
+    pcgs = compute_pcgs(G)
+    source = get_chain(G, pcgs.elements)
+    elements = refine_with_primes(G, pcgs, (2,)).elements
+    queries = G.query_counts()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chain = source.view(elements)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert G.query_counts() == queries
+    assert isinstance(chain, _MappedView) and chain.group_order() == 32768
+    assert retained < 64 * 1024
 
 
 def test_pure_refinement_makes_only_its_power_queries():
@@ -703,7 +733,7 @@ def _divisor_steps(m, rng):
 def _pure_tower(G, source, rng):
     """A random tower ``source.view`` must accept: pure powers block by block."""
     tower, base = [], 1
-    blocks = [m for _, m in source._radices]
+    blocks = [m for _, m, _ in source._radices]
     for m in blocks[: rng.randint(1, len(blocks))]:
         for power in _divisor_steps(m, rng):
             while rng.random() < 0.3:
@@ -725,13 +755,14 @@ def test_views_of_random_towers_match_chains_built_from_scratch(spec):
     source = get_chain(G, compute_pcgs(G).elements)
     everything = source.level_elements(len(source))
     rng = Random(11)
-    own = 0
+    mapped = 0
     for _ in range(60):
         tower = _pure_tower(G, source, rng)
         chain = source.view(tower)
         assert chain is not None
         _assert_same_chain(chain, SubgroupChain(G, tower))
-        own += chain._codes is not source._codes
+        assert chain._codes is source._codes
+        mapped += isinstance(chain, _MappedView)
         # Any other element in any place: a view, when there is one, must
         # still be the chain built from scratch.
         spoiled = list(tower)
@@ -739,9 +770,34 @@ def test_views_of_random_towers_match_chains_built_from_scratch(spec):
         chain = source.view(spoiled)
         if chain is not None:
             _assert_same_chain(chain, SubgroupChain(G, spoiled))
-    # A block of composite order can be split, and then the view lists codes
-    # in an order of its own.
-    assert own or all(is_prime(m) for _, m in source._radices)
+    # A block of composite order can be split, and then the view maps its
+    # indices onto the table's.
+    assert mapped or all(is_prime(m) for _, m, _ in source._radices)
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:4096@seed=2",
+    "cyclic:72@seed=3",
+    "direct:cyclic:8,cyclic:9@seed=4",
+])
+def test_split_towers_over_a_mapped_view_match_chains_built_from_scratch(spec):
+    # A view of a mapped view maps onto the same table, at no query.
+    G = make_group(parse_group_spec(spec))
+    root = get_chain(G, compute_pcgs(G).elements)
+    rng = Random(5)
+    mapped = 0
+    for _ in range(40):
+        source = root.view(_pure_tower(G, root, rng))
+        if not isinstance(source, _MappedView):
+            continue
+        mapped += 1
+        tower = _pure_tower(G, source, rng)
+        queries = G.query_counts()
+        chain = get_chain(G, tower, source)
+        assert G.query_counts() == queries
+        assert chain._codes is root._codes
+        _assert_same_chain(chain, SubgroupChain(G, tower))
+    assert mapped >= 10
 
 
 # -- pcgs candidate order -------------------------------------------------------------

@@ -601,12 +601,21 @@ def _edited_response(draw, state, honest):
         )
 
     bits, rows = list(honest.bits), [list(row) for row in honest.exponents]
+    # Positions whose element is the identity: a nonzero entry there
+    # leaves the row's word as it was, at no query.
+    blank = [j for j, h in enumerate(state.elements) if h == state.G.identity]
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(rows) - 1))
-        edit = draw(st.sampled_from(["exponent", "exponent", "bit", "length"]))
+        edit = draw(st.sampled_from(["exponent", "exponent", "bit", "length", "identity"]))
         if edit == "exponent" and rows[i]:
             j = draw(st.integers(0, len(rows[i]) - 1))
             rows[i][j] = draw(exponent(state.primes[j]))
+        elif edit == "identity":
+            reach = [k for k, row in enumerate(rows) if blank and len(row) > blank[0]]
+            if reach:
+                i = draw(st.sampled_from(reach))
+                j = draw(st.sampled_from([j for j in blank if j < len(rows[i])]))
+                rows[i][j] = draw(st.integers(1, state.primes[j] - 1))
         elif edit == "bit":
             bits[i] = draw(st.sampled_from([0, 1, 2, True, 1.0, None]))
         elif edit == "length":
@@ -619,8 +628,10 @@ def _edited_response(draw, state, honest):
 @given(data=st.data(), case=st.integers(0, 2))
 def test_finalize_matches_per_element_reference(data, case):
     # Same Outcome, reason string included, and the same oracle queries, on
-    # the hand tower and on S4's 2-message and 3-message towers; a reference
-    # that pays for every nonzero term gives the same Outcome.
+    # the hand tower and on S4's 2-message and 3-message towers, including
+    # rows with a nonzero entry at an identity position of the 2-message
+    # tower; a reference that pays for every nonzero term gives the same
+    # Outcome.
     state, honest = _finalize_cases()[case]
     response = data.draw(_edited_response(state, honest))
     outcomes = []

@@ -24,7 +24,8 @@ from orderproof import (
     verifier_check_commitment,
 )
 from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
-from orderproof.prover import relation_schedule
+from orderproof.polycyclic import _MappedView
+from orderproof.prover import _pick_other_element, relation_schedule
 
 PROTOCOL_SPECS = [get_fixture(name).spec for name in PROTOCOL_FIXTURES]
 
@@ -222,6 +223,37 @@ def test_deflate_never_deflates(group_for):
     for seed in range(200):
         outcome, _ = run_protocol_2msg(G, (2, 3), _factory("deflate"), seed)
         assert outcome.aborted or outcome.order == 12
+
+
+def _pick_from_the_level_list(chain, level, avoid, rng):
+    """The wrong-element pick from a copy of the level: the reference."""
+    pool = chain.level_elements(level)
+    avoid_index = pool.index(avoid)
+    index = rng.randrange(len(pool) - 1)
+    if index >= avoid_index:
+        index += 1
+    return pool[index]
+
+
+@pytest.mark.parametrize("spec,primes,mapped", [
+    (get_fixture("s4").spec, (2, 3), False),
+    ("cyclic:12", (2, 3), False),
+    ("cyclic:4096", (2,), True),
+])
+def test_wrong_element_by_index_matches_the_level_list(spec, primes, mapped):
+    # The same element and the same rng state after the pick, on every seed.
+    G = make_group(parse_group_spec(spec))
+    chain = get_chain(G, refine_with_primes(G, compute_pcgs(G), primes).elements)
+    assert isinstance(chain, _MappedView) == mapped
+    levels = [j for j in range(len(chain) + 1) if chain.level_order(j) >= 2]
+    for seed in range(200):
+        draw = Random(-seed)
+        level = draw.choice(levels)
+        avoid = chain.level_element(level, draw.randrange(chain.level_order(level)))
+        by_index, by_list = Random(seed), Random(seed)
+        wrong = _pick_other_element(chain, level, avoid, by_index)
+        assert wrong == _pick_from_the_level_list(chain, level, avoid, by_list)
+        assert wrong != avoid and by_index.getstate() == by_list.getstate()
 
 
 def test_guess_inflate_per_round_success_rate(group_for):

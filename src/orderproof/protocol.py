@@ -13,9 +13,12 @@ with deterministic equality tests and runs one round per committed
 element, compacting nothing it receives; the remaining rounds proceed as
 in the 2-message variant.
 
-Both variants share one verifier path: every exponent a prover sends for
-position j, in a commitment or a response row, must lie in [0, r_j), with
-r_j the prime attached there (``_row_fault``), as normal-form digits do.
+Every prover message crosses one gate (``_receive``): the runner encodes
+it, decodes that body with the wire decoder, the only type rule, and logs
+the decoded message's body; the verifier checks that message, by value
+only, so every logged prover body decodes to the message judged.  Both
+variants share one value rule: every exponent a prover sends for position
+j must lie in [0, r_j), with r_j the prime attached there (``_row_fault``).
 
 A trial pays for what its messages carry, not for their length, and the
 verifier never asks the oracle what it can already see: an answer that
@@ -46,7 +49,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain as _chain, compress
 from random import Random
 from typing import Callable, Sequence
 
@@ -176,8 +179,9 @@ def _long_rows(value) -> bool:
     response splits when t > ``ROWS_PER_CALL``, while S4×S3's commitment
     (58 rows, the last of 9 entries) stays one call.
     """
-    return (type(value) is list and len(value) > ROWS_PER_CALL and type(value[0]) is list
-            and type(value[-1]) is list and len(value) * len(value[-1]) > ROWS_PER_CALL ** 2)
+    return (type(value) is list and len(value) > ROWS_PER_CALL
+            and type(value[0]) in (list, tuple) and type(value[-1]) in (list, tuple)
+            and len(value) * len(value[-1]) > ROWS_PER_CALL ** 2)
 
 
 def _descend(value) -> bool:
@@ -190,8 +194,8 @@ def _descend(value) -> bool:
 _INT = {int}
 
 
-def _int_row(row: list[int]) -> str:
-    """``_encode(row)`` for a non-empty list of exact ints, by zero runs.
+def _int_row(row: Sequence[int]) -> str:
+    """``_encode(row)`` for a non-empty row of exact ints, by zero runs.
 
     ``compress`` finds the nonzero positions in C; each one costs a Python
     step, the zeros before it one string repeat.
@@ -228,7 +232,7 @@ def _encode_grouped(obj, out: list[str]) -> None:
         opening = "["
         for row in obj:
             out.append(opening)
-            out.append(_int_row(row) if type(row) is list and set(map(type, row)) == _INT
+            out.append(_int_row(row) if type(row) in (list, tuple) and set(map(type, row)) == _INT
                        else _encode(row))
             opening = ","
         out.append("]")
@@ -246,7 +250,7 @@ def canonical_json(obj) -> str:
     scale-2msg trials about 12% slower (2-core VM), so a long list of rows
     (``_long_rows``) is encoded one row at a time, also where it sits
     inside a message inside a transcript, and the pieces are joined once.
-    Such a row whose entries are all exact ``int`` is written by zero runs
+    Such a row, list or tuple, of exact ``int`` is written by zero runs
     (``_int_row``), one step per nonzero entry; any other row (bools,
     IntEnum members, floats, nested values) goes to the C encoder.  A value
     nested too deep for that descent, or holding a cycle, gets the C
@@ -289,60 +293,43 @@ def _wire_body(body, kind: str, keys: tuple[str, ...]) -> dict:
     return body
 
 
-def _wire_list(value, what: str) -> list:
-    if not isinstance(value, list):
+def _wire_list(value, what: str) -> list | tuple:
+    # Not a subclass: JSON writes one from its storage, whatever it iterates.
+    if type(value) is not list and type(value) is not tuple:
         raise WireError(f"{what} must be a list")
     return value
 
 
 def _wire_codes(value, what: str) -> tuple[ElementCode, ...]:
-    codes = []
-    for c in _wire_list(value, what):
-        if not isinstance(c, str):
-            raise WireError(f"{what} must hold hex strings")
-        try:
-            codes.append(bytes.fromhex(c))
-        except ValueError:
-            raise WireError(f"{what} holds a bad hex string") from None
-    return tuple(codes)
-
-
-def _row_fault(row, length: int | None = None, primes: Sequence[int] = ()) -> str | None:
-    """What is wrong with an integer row, or None: the one row check.
-
-    A row is a tuple or list of ints; bools are refused and IntEnum members
-    accepted.  A verifier row also has the expected ``length`` and holds
-    0 <= row[j] < primes[j], the prime attached to position j.  Builtins
-    check the whole row; only a row holding a type other than ``int`` falls
-    back to a per-element check.  Every r_j is a prime, so a zero entry is
-    always in range: in a row of exact ints only the nonzero entries, picked
-    out by ``compress`` in C, are compared with their bounds.  A row with an
-    int subclass in it has every entry compared, whatever its truth value.
-    """
-    if not isinstance(row, (tuple, list)):
-        return "not a sequence"
-    if length is not None and len(row) != length:
-        return "wrong length"
-    entries, bounds = row, primes
-    if set(map(type, row)) - _INT:
-        if any(not isinstance(a, int) or isinstance(a, bool) for a in row):
-            return "non-integer entry"
-    elif primes:
-        entries, bounds = list(compress(row, row)), compress(primes, row)
-    if primes and entries and (min(entries) < 0 or not all(map(operator.lt, entries, bounds))):
-        return "entry outside [0, r_j)"
-    return None
+    # Each text must be its code's hex(), so one message has one body.
+    texts = _wire_list(value, what)
+    try:
+        if set(map(type, texts)) <= {str}:
+            codes = tuple(map(bytes.fromhex, texts))
+            if tuple(map(bytes.hex, codes)) == tuple(texts):
+                return codes
+    except ValueError:
+        pass
+    raise WireError(f"{what} must hold lowercase hex strings")
 
 
 def _wire_ints(value, what: str) -> tuple[int, ...]:
-    row = _wire_list(value, what)
-    if _row_fault(row) is not None:
-        raise WireError(f"{what} must hold integers")
-    return tuple(row)
+    # Bools are refused; an int subclass (an IntEnum member) is read by
+    # ``int.__index__`` as the value JSON writes, whatever it overrides.
+    row = tuple(_wire_list(value, what))
+    if set(map(type, row)) - _INT:
+        if any(not isinstance(a, int) or isinstance(a, bool) for a in row):
+            raise WireError(f"{what} must hold integers")
+        row = tuple(map(int.__index__, row))
+    return row
 
 
 def _wire_rows(value, what: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(_wire_ints(row, what) for row in _wire_list(value, what))
+    rows = tuple(_wire_list(value, what))
+    # An encoded message's rows, tuples of exact ints, pass in one C scan.
+    if set(map(type, rows)) <= {tuple} and set(map(type, _chain.from_iterable(rows))) <= _INT:
+        return rows
+    return tuple(_wire_ints(row, what) for row in rows)
 
 
 def challenge_from_wire(body: dict) -> Challenge:
@@ -356,20 +343,13 @@ def challenge_from_wire(body: dict) -> Challenge:
 
 
 def response_to_wire(response: Response) -> dict:
-    return {
-        "kind": "response",
-        "bits": list(response.bits),
-        "exponents": [list(row) for row in response.exponents],
-    }
+    return {"kind": "response", "bits": list(response.bits), "exponents": list(response.exponents)}
 
 
 def response_from_wire(body: dict) -> Response:
     """Decode a response body; raises WireError on anything else."""
     body = _wire_body(body, "response", ("bits", "exponents"))
-    return Response(
-        bits=_wire_ints(body["bits"], "bits"),
-        exponents=_wire_rows(body["exponents"], "exponents"),
-    )
+    return Response(_wire_ints(body["bits"], "bits"), _wire_rows(body["exponents"], "exponents"))
 
 
 def commitment_to_wire(commitment: Commitment) -> dict:
@@ -377,18 +357,15 @@ def commitment_to_wire(commitment: Commitment) -> dict:
         "kind": "commitment",
         "elements": [c.hex() for c in commitment.elements],
         "primes": list(commitment.primes),
-        "rows": [list(r) for r in commitment.rows],
+        "rows": list(commitment.rows),
     }
 
 
 def commitment_from_wire(body: dict) -> Commitment:
     """Decode a commitment body; raises WireError on anything else."""
     body = _wire_body(body, "commitment", ("elements", "primes", "rows"))
-    return Commitment(
-        elements=_wire_codes(body["elements"], "elements"),
-        primes=_wire_ints(body["primes"], "primes"),
-        rows=_wire_rows(body["rows"], "rows"),
-    )
+    return Commitment(_wire_codes(body["elements"], "elements"),
+                      _wire_ints(body["primes"], "primes"), _wire_rows(body["rows"], "rows"))
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +470,22 @@ def _word_evaluator(
     return word
 
 
+def _row_fault(row: Sequence[int], length: int, primes: Sequence[int]) -> str | None:
+    """What is wrong with a decoded exponent row, or None: the one row check.
+
+    The row has the expected ``length`` and holds 0 <= row[j] < primes[j],
+    the prime attached to position j.  Every r_j is a prime, so a zero entry
+    is always in range: only the nonzero entries, picked out by
+    ``compress`` in C, are compared with their bounds.
+    """
+    if len(row) != length:
+        return "wrong length"
+    entries = list(compress(row, row))
+    if entries and (min(entries) < 0 or not all(map(operator.lt, entries, compress(primes, row)))):
+        return "entry outside [0, r_j)"
+    return None
+
+
 #: The check's reason when a row's word misses its relation target.
 _UNMET = {
     "generator": "a group generator does not decompose over the committed tower",
@@ -506,38 +499,32 @@ def verifier_check_commitment(
     generators: Sequence[ElementCode],
     commitment: Commitment,
 ) -> str | None:
-    """Run the commitment checks; return an abort reason or None on pass.
+    """Check a decoded commitment's values; return an abort reason or None.
 
-    Shape validation first, before any query: every field a tuple or list,
-    the tower length guardrail, lengths, primes bounded by 2^n before
-    primality, the row count s + (t-1) + t(t-1)/2, then each row's length
-    from ``relation_schedule`` and every entry at position j in [0, r_j)
-    by ``_row_fault``.  Then each row's word must equal its relation
-    target, in schedule order, and last h_1^{r_1} the identity, the one
-    relation with no row.  Words come from one ``_word_evaluator``, and a
-    target or an h_1^{r_1} with an identity operand costs no query.
-    Passing certifies the committed sequence is a polycyclic tower for the
-    whole group with quotient orders in {1, r_i}.  A malformed commitment
-    of any shape returns a reason; it never raises.
+    Shape validation first, before any query: the tower length guardrail,
+    lengths, primes bounded by 2^n before primality, the row count
+    s + (t-1) + t(t-1)/2, then each row's length from ``relation_schedule``
+    and every entry at position j in [0, r_j) by ``_row_fault``.  Then each
+    row's word must equal its relation target, in schedule order, and last
+    h_1^{r_1} the identity, the one relation with no row.  Words come from
+    one ``_word_evaluator``, and a target or an h_1^{r_1} with an identity
+    operand costs no query.  Passing certifies the committed sequence is a
+    polycyclic tower for the whole group with quotient orders in {1, r_i}.
+    A decoded commitment of any shape returns a reason; it never raises.
     """
     c = commitment
-    if any(not isinstance(f, (tuple, list)) for f in (c.elements, c.primes, c.rows)):
-        return "commitment fields must be sequences"
     t = len(commitment.elements)
     n = G.encoding_length
     max_length = COMMITMENT_LENGTH_FACTOR * n * max(1, len(generators)) * max(
-        1, math.ceil(math.log2(DEFAULT_CLOSURE_CAP))
-    )
+        1, math.ceil(math.log2(DEFAULT_CLOSURE_CAP)))
     if t > max_length:
         return f"committed sequence length {t} exceeds guardrail {max_length}"
     if len(commitment.primes) != t:
         return "primes list length does not match the committed sequence"
-    if any(not isinstance(code, bytes) for code in commitment.elements):
-        return "committed element codes must be byte strings"
     # Quotient orders divide |G| <= 2^n, and the primality test is exact
     # only below about 2^81, so a larger "prime" is rejected before it.
     for r in commitment.primes:
-        if not isinstance(r, int) or isinstance(r, bool) or r > 1 << n:
+        if r > 1 << n:
             return f"committed value {r!r} is not a prime up to 2^n"
         if r >= MILLER_RABIN_EXACT_BELOW:
             return f"committed value {r!r} is at or above the primality bound"
@@ -568,30 +555,25 @@ def verifier_check_commitment(
 
 
 def verifier_finalize(state: VerifierState, response: Response) -> Outcome:
-    """Apply the per-round trichotomy and produce the final outcome.
+    """Apply the per-round trichotomy to a decoded response.
 
     Per round: a matching decomposition of the round element fixes the
     factor 1; otherwise a bit agreeing with the verifier's secret fixes the
-    factor r_i; otherwise the protocol aborts.  Malformed responses (wrong
-    shapes, non-integers, an exponent at position j outside [0, r_j)) abort
-    as well, in both protocols alike: ``_row_fault`` checks each row against
+    factor r_i; otherwise the protocol aborts.  A wrong shape, a bit other
+    than 0 or 1, or an exponent at position j outside [0, r_j) aborts as
+    well, in both protocols alike: ``_row_fault`` checks each row against
     the primes the verifier holds, so no exponent is reduced.  Words come
     from one ``_word_evaluator``, so a row repeating an earlier row's word
     costs no query.
     """
     G, elements = state.G, state.elements
-    t = len(elements)
     bits, exponents = response.bits, response.exponents
-    if not isinstance(bits, (tuple, list)) or not isinstance(exponents, (tuple, list)):
-        return Outcome.abort("response bits and exponents must be sequences")
-    if len(bits) != t or len(exponents) != t:
+    if not len(bits) == len(exponents) == len(elements):
         return Outcome.abort("response shape does not match the round count")
     word = _word_evaluator(G, elements)
     factors = []
-    for i in range(1, t + 1):
-        bit = bits[i - 1]
-        row = exponents[i - 1]
-        if not isinstance(bit, int) or isinstance(bit, bool) or bit not in (0, 1):
+    for i, (bit, row) in enumerate(zip(bits, exponents), start=1):
+        if bit not in (0, 1):
             return Outcome.abort(f"round {i}: bit is not 0 or 1")
         fault = _row_fault(row, i - 1, state.primes)
         if fault is not None:
@@ -618,6 +600,21 @@ def _log(transcript: Transcript, direction: str, kind: str, body: dict) -> None:
     )
 
 
+def _receive(transcript: Transcript, kind: str, message, to_wire, from_wire):
+    """The one gate for a prover message: encode it, decode the body, log it.
+
+    Returns the decoded message, or an abort with nothing logged.  The log
+    holds the decoded message's body, of tuples and ints, so a prover that
+    kept its own rows cannot change the log after the verifier has judged.
+    """
+    try:
+        decoded = from_wire(to_wire(message))
+        _log(transcript, "P->V", kind, to_wire(decoded))
+    except _UNENCODABLE as exc:
+        return Outcome.abort(f"{kind} cannot be encoded: {exc}")
+    return decoded
+
+
 def _finish(
     transcript: Transcript, meter: QueryMeter, outcome: Outcome
 ) -> tuple[Outcome, Transcript]:
@@ -631,13 +628,12 @@ def _rounds(
     transcript: Transcript, meter: QueryMeter, state: VerifierState, challenge: Challenge,
     prover: HonestProver,
 ) -> tuple[Outcome, Transcript]:
-    """Log the challenge, respond, log the response (abort if it cannot be), finalize."""
+    """Log the challenge, receive the response through the gate, finalize."""
     _log(transcript, "V->P", "challenge", challenge_to_wire(challenge))
-    response = prover.respond(state.elements, challenge.masked)
-    try:
-        _log(transcript, "P->V", "response", response_to_wire(response))
-    except _UNENCODABLE as exc:
-        return _finish(transcript, meter, Outcome.abort(f"response cannot be encoded: {exc}"))
+    response = _receive(transcript, "response", prover.respond(state.elements, challenge.masked),
+                        response_to_wire, response_from_wire)
+    if isinstance(response, Outcome):
+        return _finish(transcript, meter, response)
     with meter.measuring():
         outcome = verifier_finalize(state, response)
     return _finish(transcript, meter, outcome)
@@ -671,8 +667,8 @@ def run_protocol_3msg(
 ) -> tuple[Outcome, Transcript]:
     """One seeded execution of the 3-message protocol.
 
-    A commitment that cannot be encoded for the log (a field or a code of
-    the wrong type) aborts before anything is logged or checked.
+    A commitment that does not pass the gate (a field or a code of the
+    wrong type) aborts before anything is logged or checked.
     """
     transcript = Transcript(protocol="3msg", seed=seed)
     rng_verifier = Random(derive_seed(seed, "verifier"))
@@ -684,10 +680,10 @@ def run_protocol_3msg(
         commitment = prover.commit()
     except NotSolvableError as exc:
         return _finish(transcript, meter, Outcome.abort(f"prover gave up: {exc}"))
-    try:
-        _log(transcript, "P->V", "commitment", commitment_to_wire(commitment))
-    except _UNENCODABLE as exc:
-        return _finish(transcript, meter, Outcome.abort(f"commitment cannot be encoded: {exc}"))
+    commitment = _receive(transcript, "commitment", commitment,
+                          commitment_to_wire, commitment_from_wire)
+    if isinstance(commitment, Outcome):
+        return _finish(transcript, meter, commitment)
 
     with meter.measuring():
         reason = verifier_check_commitment(G, G.generators, commitment)

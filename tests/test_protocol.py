@@ -203,13 +203,20 @@ def test_non_prime_entry_aborts(group_for):
 @pytest.mark.parametrize("prime", [2**61 - 1, True])
 def test_hostile_prime_aborts_before_trial_division(group_for, prime):
     # Trial division on 2^61 - 1 would run for minutes; quotient orders
-    # divide |G| <= 2^n, so the bound rejects it first.
+    # divide |G| <= 2^n, so the bound rejects it first.  A bool is no
+    # prime's value: the gate refuses it before the check.
     G = group_for("perm:4:(1 2),(1 2 3 4)")
-    hostile = Commitment((G.generators[0],), (prime,), ((1,),) * len(G.generators))
+    fields = dict(elements=(G.generators[0],), primes=(prime,), rows=((1,),) * len(G.generators))
     started = time.perf_counter()
-    reason = verifier_check_commitment(G, G.generators, hostile)
+    outcome, transcript = run_protocol_3msg(G, lambda g, rng: _ReplacingProver(g, rng, **fields), 0)
     assert time.perf_counter() - started < 1.0
-    assert "not a prime up to 2^n" in reason
+    if prime is True:
+        assert outcome.reason == "commitment cannot be encoded: primes must hold integers"
+        assert transcript.messages == []
+    else:
+        assert outcome.reason == f"commitment check failed: committed value {prime} is not a prime up to 2^n"
+        assert verifier_check_commitment(G, G.generators, Commitment(**fields)) in outcome.reason
+    assert transcript.queries.total == 0
 
 
 def test_prime_past_the_primality_bound_aborts_without_queries():
@@ -235,11 +242,29 @@ def test_length_guardrail(group_for):
     assert "guardrail" in verifier_check_commitment(G, G.generators, too_long)
 
 
+class _PaddedHex(bytes):
+    """A code whose ``hex()`` ends in a newline, which ``bytes.fromhex`` skips."""
+
+    def hex(self):
+        return super().hex() + "\n"
+
+
 def test_non_bytes_element_code_aborts(group_for):
+    # A code is refused at the gate unless it encodes to the canonical hex
+    # of a byte string; a bytearray does, and is judged as its bytes.
     G = group_for("cyclic:12")
-    c = _hand_commitment(G)
-    tampered = Commitment(("junk",) + c.elements[1:], c.primes, c.rows)
-    assert "byte strings" in verifier_check_commitment(G, G.generators, tampered)
+    c = honest_commitment(G)
+    for code, reason in (("junk", "'str' object has no attribute 'hex'"),
+                         (_PaddedHex(c.elements[0]), "elements must hold lowercase hex strings"),
+                         (bytearray(c.elements[0]), None)):
+        elements = (code,) + c.elements[1:]
+        outcome, transcript = run_protocol_3msg(
+            G, lambda g, rng: _ReplacingProver(g, rng, elements=elements), 0)
+        if reason is None:
+            assert outcome == Outcome.of(12)
+        else:
+            assert outcome.reason == f"commitment cannot be encoded: {reason}"
+            assert transcript.messages == [] and transcript.queries.total == 0
 
 
 def _replace_row(c, k, row):
@@ -263,7 +288,7 @@ def _non_sequence_commitment(c, shape):
     }[shape]
 
 
-@pytest.mark.parametrize("shape,reason", [
+@pytest.mark.parametrize("shape,fault", [
     ("int-generator-row", "malformed generator decomposition row: not a sequence"),
     ("none-power-row", "malformed power decomposition row: not a sequence"),
     ("int-conjugate-row", "malformed conjugate decomposition row: not a sequence"),
@@ -271,10 +296,17 @@ def _non_sequence_commitment(c, shape):
     ("none-rows", "commitment fields must be sequences"),
     ("int-elements", "commitment fields must be sequences"),
 ])
-def test_non_sequence_commitment_aborts(group_for, shape, reason):
+def test_non_sequence_commitment_aborts(group_for, shape, fault):
+    # ``fault`` names what is wrong; the gate refuses it before any check
+    # or query, and logs nothing.
     G = group_for("cyclic:12")
     tampered = _non_sequence_commitment(_hand_commitment(G), shape)
-    assert verifier_check_commitment(G, G.generators, tampered) == reason
+    outcome, transcript = run_protocol_3msg(
+        G, lambda g, rng: _ReplacingProver(g, rng, **dataclasses.asdict(tampered)), 0)
+    assert outcome.reason.startswith("commitment cannot be encoded: "), fault
+    assert transcript.messages == [] and transcript.queries.total == 0
+    if shape.endswith("-row"):
+        assert outcome.reason == "commitment cannot be encoded: rows must be a list"
 
 
 def test_commitment_entry_at_its_prime_aborts_without_queries(group_for):
@@ -380,6 +412,13 @@ def _hand_state(G):
     )
 
 
+def _judged(state, response):
+    """The runner's judgment of a response: the gate's abort, or finalize on the decoded one."""
+    received = protocol_mod._receive(protocol_mod.Transcript("2msg", 0), "response", response,
+                                     response_to_wire, response_from_wire)
+    return received if isinstance(received, Outcome) else verifier_finalize(state, received)
+
+
 def test_finalize_all_matching_rows_gives_one(group_for):
     # Identity tower: every round element decomposes over its prefix, so all
     # per-round factors are 1 whatever the bits say.
@@ -409,33 +448,70 @@ def test_finalize_wrong_bit_aborts(group_for):
 
 
 def test_finalize_rejects_malformed_shapes(group_for):
+    # Shapes and values are the verifier's to refuse; types are the gate's.
     G = group_for("cyclic:12")
     state = _hand_state(G)
-    for response in (
-        Response(bits=(1, 0), exponents=((), (0,), (0, 0))),
-        Response(bits=(1, 0, 2), exponents=((), (0,), (0, 0))),
-        Response(bits=(1, 0, 1), exponents=((), (0, 0), (0, 0))),
-        Response(bits=(1, 0, 1), exponents=((), (0,), (0, "x"))),
-        Response(bits=(True, 0, 1), exponents=((), (0,), (0, 0))),
+    for response, reason in (
+        (Response(bits=(1, 0), exponents=((), (0,), (0, 0))),
+         "response shape does not match the round count"),
+        (Response(bits=(1, 0, 2), exponents=((), (0,), (0, 0))), "round 3: bit is not 0 or 1"),
+        (Response(bits=(1, 0, 1), exponents=((), (0, 0), (0, 0))),
+         "round 2: malformed exponent row: wrong length"),
+        (Response(bits=(1, 0, 1), exponents=((), (0,), (0, "x"))),
+         "response cannot be encoded: exponents must hold integers"),
+        (Response(bits=(True, 0, 1), exponents=((), (0,), (0, 0))),
+         "response cannot be encoded: bits must hold integers"),
     ):
-        assert verifier_finalize(state, response).aborted
+        assert _judged(state, response) == Outcome.abort(reason)
 
 
 def test_finalize_refuses_non_int_bits(group_for):
-    # 1.0 == 1 and 0.0 == 0, so only a type check keeps float bits out;
-    # IntEnum members are ints and stay accepted, as in the row check.
+    # 1.0 == 1 and 0.0 == 0, so only the gate's type rule keeps float bits
+    # out; IntEnum members are ints and stay accepted, as in the rows.
     G = group_for("cyclic:12")
     state = _hand_state(G)
     for bits in ((1.0, 0.0, 1), (1, 0, 1.0), (1, 0, 1 + 0j)):
-        outcome = verifier_finalize(state, Response(bits=bits, exponents=((), (0,), (0, 0))))
-        assert outcome.aborted and "bit is not 0 or 1" in outcome.reason
+        outcome = _judged(state, Response(bits=bits, exponents=((), (0,), (0, 0))))
+        assert outcome == Outcome.abort("response cannot be encoded: bits must hold integers")
 
     class _Bit(IntEnum):
         ZERO = 0
         ONE = 1
 
-    response = Response(bits=(_Bit.ONE, _Bit.ZERO, 1), exponents=((), (0,), (0, 0)))
-    assert verifier_finalize(state, response) == Outcome.of(12)
+    response = Response(bits=(_Bit.ONE, _Bit.ZERO, 1), exponents=((), (_Bit.ZERO,), (0, 0)))
+    assert _judged(state, response) == Outcome.of(12)
+
+
+class _Liar(int):
+    """An int that equals everything and is false: judged by its value all the same."""
+
+    def __eq__(self, other):
+        return True
+
+    def __bool__(self):
+        return False
+
+    __hash__ = int.__hash__
+
+
+def test_int_subclasses_are_judged_by_their_value(group_for):
+    # JSON logs a _Liar as its value, and the verifier judges that value.
+    # The hand state's secret bits are (1, 0, 1), so a bit 0 on round 1 is
+    # wrong however it compares; an entry 2 at a position of prime 2 is out
+    # of range however it tests false.  Over (g^6, g^6), round 2's row (1,)
+    # is g^6, a match, though a row that tests false is skipped by compress.
+    G = group_for("cyclic:12")
+    state = _hand_state(G)
+    for response, outcome in (
+        (Response(bits=(_Liar(0), 0, 1), exponents=((), (0,), (0, 0))),
+         Outcome.abort("round 1: no decomposition and the bit is wrong")),
+        (Response(bits=(1, 0, 1), exponents=((), (0,), (_Liar(2), 0))),
+         Outcome.abort("round 3: malformed exponent row: entry outside [0, r_j)")),
+    ):
+        assert _judged(state, response) == outcome
+    h = G.power(G.generators[0], 6)
+    state = VerifierState(G, (h, h), primes=(2, 2), secret_bits=(0, 0))
+    assert _judged(state, Response(bits=(0, 1), exponents=((), (_Liar(1),)))) == Outcome.of(2)
 
 
 def _malformed_response(shape, t):
@@ -455,10 +531,16 @@ def _malformed_response(shape, t):
     "shape", ["int-row", "none-row", "int-exponents", "none-exponents", "int-bits", "none-bits"]
 )
 def test_finalize_aborts_on_non_sequence_fields(group_for, shape):
+    # The gate refuses a non-sequence and logs nothing after the challenge.
     G = group_for("perm:4:(1 2),(1 2 3 4)")
-    state, _ = verifier_setup_2msg(G, (2, 3), 0)
-    response = _malformed_response(shape, len(state.elements))
-    assert verifier_finalize(state, response).aborted
+
+    class Malformed(HonestProver):
+        def respond(self, elements, masked):
+            return _malformed_response(shape, len(elements))
+
+    outcome, transcript = run_protocol_2msg(G, (2, 3), Malformed, 0)
+    assert outcome.reason.startswith("response cannot be encoded: ")
+    assert [m.kind for m in transcript.messages] == ["challenge"]
 
 
 def test_finalize_2msg_reduces_exponents(group_for):
@@ -627,13 +709,19 @@ def _edited_response(draw, state, honest):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), case=st.integers(0, 2))
 def test_finalize_matches_per_element_reference(data, case):
-    # Same Outcome, reason string included, and the same oracle queries, on
-    # the hand tower and on S4's 2-message and 3-message towers, including
-    # rows with a nonzero entry at an identity position of the 2-message
-    # tower; a reference that pays for every nonzero term gives the same
-    # Outcome.
+    # On a response that passes the gate: the same Outcome, reason string
+    # included, and the same oracle queries, on the hand tower and on S4's
+    # 2-message and 3-message towers, including rows with a nonzero entry
+    # at an identity position of the 2-message tower; a reference that
+    # pays for every nonzero term gives the same Outcome.  A response the
+    # gate refuses is one the reference refuses too.
     state, honest = _finalize_cases()[case]
     response = data.draw(_edited_response(state, honest))
+    try:
+        response = response_from_wire(response_to_wire(response))
+    except WireError:
+        assert _reference_finalize(state, response).aborted
+        return
     outcomes = []
     for finalize in (verifier_finalize, _reference_finalize):
         meter = QueryMeter(state.G)
@@ -798,6 +886,29 @@ def test_unencodable_commitment_aborts_before_logging(group_for, fields):
     assert transcript.messages == [] and transcript.queries.total == 0
 
 
+class _RowKeeper(HonestProver):
+    """Commits to the honest rows as lists it keeps, and edits one after the check."""
+
+    def commit(self):
+        c = honest_commitment(self.G)
+        self.rows = [list(row) for row in c.rows]
+        return Commitment(c.elements, c.primes, tuple(self.rows))
+
+    def respond(self, elements, masked):
+        self.rows[0][0] = 7
+        return super().respond(elements, masked)
+
+
+def test_a_prover_cannot_edit_the_logged_commitment(group_for):
+    # The log holds the judged message's own body, not the prover's rows.
+    G = group_for(S4)
+    outcome, transcript = run_protocol_3msg(G, _RowKeeper, 1)
+    assert outcome == Outcome.of(24)
+    logged = commitment_from_wire(json.loads(protocol_mod.canonical_json(transcript.messages[0].body)))
+    assert logged == honest_commitment(G)
+    _assert_logged_bodies_decode(transcript)
+
+
 _leaf = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2)
          | st.sampled_from(_Small) | st.builds(object) | st.frozensets(st.integers(), max_size=2))
 _anything = st.recursive(
@@ -830,10 +941,21 @@ def _cyclic12():
     return make_group(parse_group_spec("cyclic:12"))
 
 
+def _assert_logged_bodies_decode(transcript):
+    """Each logged P->V body decodes from its text to a message that re-encodes to that text."""
+    for m in transcript.messages:
+        if m.direction == "P->V":
+            text = protocol_mod.canonical_json(m.body)
+            assert len(text) == m.size_bytes
+            decoded = DECODERS[m.kind](json.loads(text))
+            assert protocol_mod.canonical_json(ENCODERS[m.kind](decoded)) == text
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), protocol=st.sampled_from(["2msg", "3msg"]))
 def test_runners_return_an_outcome_for_any_response(data, protocol):
-    # A response the log cannot encode aborts before it is logged or evaluated.
+    # A response the gate refuses aborts before it is logged or evaluated,
+    # and a logged one is the text of what was judged.
     class Stub(HonestProver):
         def respond(self, elements, masked):
             return data.draw(_any_response(super().respond(elements, masked)))
@@ -848,6 +970,47 @@ def test_runners_return_an_outcome_for_any_response(data, protocol):
         assert transcript.messages[-1].kind == "challenge"
     else:
         assert transcript.messages[-1].kind == "response"
+    _assert_logged_bodies_decode(transcript)
+
+
+@st.composite
+def _any_commitment(draw, honest):
+    """Commitment fields: free, or honest ones with one part replaced."""
+    fields = {"elements": list(honest.elements), "primes": list(honest.primes),
+              "rows": [list(row) for row in honest.rows]}
+    part = draw(st.sampled_from(["field", "element", "prime", "row", "entry"]))
+    if part == "field":
+        fields[draw(st.sampled_from(sorted(fields)))] = draw(_anything)
+    elif part == "element":
+        code = st.binary(max_size=3) | st.sampled_from(fields["elements"]).map(_PaddedHex)
+        fields["elements"][draw(st.integers(0, len(honest.elements) - 1))] = draw(code | _anything)
+    elif part == "prime":
+        prime = st.integers() | st.sampled_from([2, 3, 5])
+        fields["primes"][draw(st.integers(0, len(honest.primes) - 1))] = draw(prime | _anything)
+    else:
+        rows = fields["rows"]
+        k = draw(st.integers(0, len(rows) - 1))
+        if part == "row" or not rows[k]:
+            rows[k] = draw(_anything)
+        else:
+            rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(_anything)
+    return fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_runners_return_an_outcome_for_any_commitment(data):
+    # The commitment twin of the response property, on cyclic:12.
+    G = _cyclic12()
+    fields = data.draw(_any_commitment(honest_commitment(G)))
+    outcome, transcript = run_protocol_3msg(
+        G, lambda g, rng: _ReplacingProver(g, rng, **fields), 0)
+    assert isinstance(outcome, Outcome)
+    if outcome.aborted and outcome.reason.startswith("commitment cannot be encoded"):
+        assert transcript.messages == []
+    else:
+        assert transcript.messages[0].kind == "commitment"
+    _assert_logged_bodies_decode(transcript)
 
 
 def test_transcript_sizes_match_canonical_bodies(group_for):
@@ -1061,7 +1224,10 @@ def test_codec_round_trips(group_for):
     c = honest_commitment(G)
     body = commitment_to_wire(c)
     assert sorted(body) == ["elements", "kind", "primes", "rows"]
-    assert body["rows"] == [list(row) for row in c.rows]
+    # The body holds the commitment's own rows, and decoding copies none.
+    assert all(a is b for a, b in zip(body["rows"], c.rows, strict=True))
+    assert all(a is b for a, b in zip(commitment_from_wire(body).rows, c.rows, strict=True))
+    assert json.loads(protocol_mod.canonical_json(body))["rows"] == [list(row) for row in c.rows]
     assert commitment_from_wire(body) == c
     assert commitment_from_wire(json.loads(protocol_mod.canonical_json(body))) == c
     state, challenge = verifier_setup_2msg(G, (2, 3), 6)
@@ -1076,6 +1242,27 @@ DECODERS = {
     "response": response_from_wire,
     "commitment": commitment_from_wire,
 }
+ENCODERS = {
+    "challenge": challenge_to_wire,
+    "response": response_to_wire,
+    "commitment": commitment_to_wire,
+}
+
+
+@pytest.mark.parametrize("text", ["0A", " 0a", "0a\n", "0a 0b", "0a0B", "\t"])
+def test_decoders_accept_only_canonical_hex(text):
+    # bytes.fromhex reads each text, but one code has one text, its hex():
+    # otherwise one message would have several bodies.
+    canonical = bytes.fromhex(text).hex()
+    bodies = {
+        challenge_from_wire: {"kind": "challenge", "masked": [], "elements": []},
+        commitment_from_wire: {"kind": "commitment", "elements": [], "primes": [], "rows": []},
+    }
+    for decode, body in bodies.items():
+        for field in ("masked", "elements") if "masked" in body else ("elements",):
+            assert decode({**body, field: [canonical]}) is not None
+            with pytest.raises(WireError, match="lowercase hex"):
+                decode({**body, field: [text]})
 
 
 @pytest.mark.parametrize(
@@ -1223,24 +1410,20 @@ def _parent_row_fault(row, length=None, primes=()):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_row_fault_matches_the_full_comparison(data):
+    # The gate hands the verifier rows of exact ints, on which comparing
+    # only the nonzero entries gives the full comparison's answer.
     primes = data.draw(st.lists(st.sampled_from([2, 3, 5, 7]), max_size=8))
-    entry = st.one_of(
-        st.sampled_from([0] * 4 + [1, -1, 2, 3, 7]),
-        st.integers(),
-        st.sampled_from(_Small),
-        st.booleans(),
-        st.floats(allow_nan=False),
-        st.none(),
-    )
+    entry = st.sampled_from([0] * 4 + [1, -1, 2, 3, 7]) | st.integers()
     if primes and data.draw(st.booleans()):
         # Mostly in-range rows, some entry possibly equal to its r_j.
         entry = st.integers(0, len(primes) - 1).flatmap(
             lambda j: st.sampled_from([0, 0, primes[j] - 1, primes[j]]))
-    row = data.draw(st.lists(entry, max_size=10).map(tuple) | st.lists(entry, max_size=10)
-                    | st.sampled_from([None, 3, "ab", {}]))
-    length = data.draw(st.none() | st.integers(0, 10))
-    for args in ((row,), (row, length), (row, length, primes), (row, None, primes)):
-        assert protocol_mod._row_fault(*args) == _parent_row_fault(*args)
+    # The verifier's rows are prefixes: length <= len(primes).
+    length = data.draw(st.integers(0, len(primes)))
+    size = data.draw(st.sampled_from([length, length, length + 1, max(0, length - 1)]))
+    row = data.draw(st.lists(entry, min_size=size, max_size=size).map(tuple)
+                    | st.lists(entry, min_size=size, max_size=size))
+    assert protocol_mod._row_fault(row, length, primes) == _parent_row_fault(row, length, primes)
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,8 +13,8 @@ with deterministic equality tests and runs one round per committed
 element, compacting nothing it receives; the remaining rounds proceed as
 in the 2-message variant.
 
-Every prover message crosses one gate (``_receive``): the runner encodes
-it, decodes that body with the wire decoder, the only type rule, and logs
+Every prover message crosses one gate (``_receive``): the runner builds
+its body, decodes that with the wire decoder, the only type rule, and logs
 the decoded message's body; the verifier checks that message, by value
 only, so every logged prover body decodes to the message judged.  Both
 variants share one value rule: every exponent a prover sends for position
@@ -29,9 +29,12 @@ with an identity operand is read off by code equality
 (``prover.relation_targets``).  One word evaluator per check or finalize
 call (``_word_evaluator``) skips identity bases and computes each distinct
 power and each distinct word of the message once.  Response rows over a
-long tower are mostly zeros: the row check, the word evaluation and the
-canonical encoding step over the nonzero entries only, and their zeros are
-scanned by builtins in C.
+long tower are mostly zeros: the message's sizing, the row check and the
+word evaluation step over the nonzero entries only, and their zeros are
+scanned by builtins in C.  The runner sizes each message it logs by
+arithmetic on the body (``_text_length``) and never encodes it:
+``canonical_json`` only serializes (digests, ``--transcripts`` logs, the
+CLI).
 
 Every execution is seeded and reproducible: transcripts carry the full
 message log in a canonical JSON form, so identical seeds yield
@@ -243,18 +246,19 @@ def _encode_grouped(obj, out: list[str]) -> None:
 def canonical_json(obj) -> str:
     """Compact JSON with sorted keys: the text ``json.dumps`` gives.
 
-    The text is ASCII, so its length is the length of its bytes.
-    CPython 3.11's C encoder keeps a string for every number it writes
-    until it has 10^5 of them, and a 2-message response over a long tower
-    holds about that many.  Mapping fresh memory for those strings made
-    scale-2msg trials about 12% slower (2-core VM), so a long list of rows
-    (``_long_rows``) is encoded one row at a time, also where it sits
-    inside a message inside a transcript, and the pieces are joined once.
-    Such a row, list or tuple, of exact ``int`` is written by zero runs
-    (``_int_row``), one step per nonzero entry; any other row (bools,
-    IntEnum members, floats, nested values) goes to the C encoder.  A value
-    nested too deep for that descent, or holding a cycle, gets the C
-    encoder's own answer.
+    It serializes (digests, ``--transcripts`` logs, the CLI); the runners
+    size a message without it, by ``_text_length``.  The text is ASCII, so
+    its length is the length of its bytes.  CPython 3.11's C encoder keeps
+    a string for every number it writes until it has 10^5 of them, and a
+    2-message response over a long tower holds about that many.  Mapping
+    fresh memory for those strings made scale-2msg trials about 12% slower
+    (2-core VM), so a long list of rows (``_long_rows``) is encoded one
+    row at a time, also where it sits inside a message inside a
+    transcript, and the pieces are joined once.  Such a row, list or
+    tuple, of exact ``int`` is written by zero runs (``_int_row``), one
+    step per nonzero entry; any other row (bools, IntEnum members, floats,
+    nested values) goes to the C encoder.  A value nested too deep for
+    that descent, or holding a cycle, gets the C encoder's own answer.
     """
     pieces: list[str] = []
     try:
@@ -267,6 +271,54 @@ def canonical_json(obj) -> str:
 def canonical_json_bytes(obj) -> bytes:
     """``canonical_json(obj)`` as bytes: compact JSON with sorted keys."""
     return canonical_json(obj).encode()
+
+
+#: ``row.count(0)``, mapped over rows in C.
+_count_zeros = operator.methodcaller("count", 0)
+
+
+def _rows_length(rows: Sequence[Sequence[int]]) -> int:
+    """The summed ``len(canonical_json(row))`` of rows of exact ints, by arithmetic.
+
+    A non-empty row of L entries, z of them zero, is two brackets, L - 1
+    commas, one digit per zero and each nonzero entry's ``str``: 1 + L + z
+    plus those lengths.  An empty row is 2.  An all-zero row is settled by
+    its ``count(0)``; only the other rows are scanned again, for their
+    nonzero entries.  Every scan is a builtin's, in C, not a Python step
+    per row.
+    """
+    lengths = list(map(len, rows))
+    zeros = list(map(_count_zeros, rows))
+    mixed = compress(rows, map(operator.ne, zeros, lengths))
+    digits = sum(map(len, map(str, filter(None, _chain.from_iterable(mixed)))))
+    return len(rows) + sum(lengths) + sum(zeros) + digits + lengths.count(0)
+
+
+def _text_length(value) -> int:
+    """``len(canonical_json(value))`` for a logged body or one of its values, with no text.
+
+    Every body the runners log is verifier-built or gate-decoded: a dict
+    with str keys whose values are strings that need no escape (kinds and
+    lowercase hex codes), lists of codes, rows of exact ints, and lists of
+    such rows, so its length is arithmetic (a row's as in
+    ``_rows_length``).  Keys are walked in the text's order, so an int too
+    long for ``str`` raises the ValueError the encoder would raise first.
+    """
+    if type(value) is str:
+        return len(value) + 2
+    if not value:
+        return 2
+    if type(value) is dict:
+        size = 1 + len(value)
+        for key in sorted(value):
+            size += len(key) + 3 + _text_length(value[key])
+        return size
+    first = type(value[0])
+    if first is str:
+        return 1 + 3 * len(value) + sum(map(len, value))
+    if first is int:
+        return 1 + len(value) + value.count(0) + sum(map(len, map(str, filter(None, value))))
+    return 1 + len(value) + _rows_length(value)
 
 
 def outcome_to_wire(outcome: Outcome) -> dict:
@@ -595,17 +647,18 @@ _UNENCODABLE = (AttributeError, TypeError, ValueError, RecursionError)
 
 
 def _log(transcript: Transcript, direction: str, kind: str, body: dict) -> None:
-    transcript.messages.append(
-        TranscriptMessage(direction, kind, body, len(canonical_json(body)))
-    )
+    """Log a body with its canonical length, sized by ``_text_length``, not encoded."""
+    transcript.messages.append(TranscriptMessage(direction, kind, body, _text_length(body)))
 
 
 def _receive(transcript: Transcript, kind: str, message, to_wire, from_wire):
-    """The one gate for a prover message: encode it, decode the body, log it.
+    """The one gate for a prover message: build its body, decode that, log it.
 
-    Returns the decoded message, or an abort with nothing logged.  The log
-    holds the decoded message's body, of tuples and ints, so a prover that
-    kept its own rows cannot change the log after the verifier has judged.
+    Returns the decoded message, or an abort with nothing logged: a body
+    the decoder refuses, or one holding an int too long for ``str``, which
+    sizing it raises as encoding it would.  The log holds the decoded
+    message's body, of tuples and ints, so a prover that kept its own rows
+    cannot change the log after the verifier has judged.
     """
     try:
         decoded = from_wire(to_wire(message))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import operator
+import sys
 import time
 import tracemalloc
 import weakref
@@ -39,6 +40,7 @@ from orderproof import (
     verifier_finalize,
     verifier_setup_2msg,
 )
+from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
 from orderproof.groups import QueryCounts, QueryMeter
 from orderproof.polycyclic import MILLER_RABIN_EXACT_BELOW, RefinementError
 from orderproof.protocol import (
@@ -414,8 +416,10 @@ def _hand_state(G):
 
 def _judged(state, response):
     """The runner's judgment of a response: the gate's abort, or finalize on the decoded one."""
-    received = protocol_mod._receive(protocol_mod.Transcript("2msg", 0), "response", response,
+    transcript = protocol_mod.Transcript("2msg", 0)
+    received = protocol_mod._receive(transcript, "response", response,
                                      response_to_wire, response_from_wire)
+    _assert_logged_bodies_decode(transcript)
     return received if isinstance(received, Outcome) else verifier_finalize(state, received)
 
 
@@ -457,6 +461,12 @@ def test_finalize_rejects_malformed_shapes(group_for):
         (Response(bits=(1, 0, 2), exponents=((), (0,), (0, 0))), "round 3: bit is not 0 or 1"),
         (Response(bits=(1, 0, 1), exponents=((), (0, 0), (0, 0))),
          "round 2: malformed exponent row: wrong length"),
+        (Response(bits=(1, 0, 1), exponents=((), (0,), (0, -1))),
+         "round 3: malformed exponent row: entry outside [0, r_j)"),
+        (Response(bits=(1, 0, 1), exponents=((), (0,), (-10, 0))),
+         "round 3: malformed exponent row: entry outside [0, r_j)"),
+        (Response(bits=(1, 0, 1), exponents=((), (0,), (0, 0, 0))),
+         "round 3: malformed exponent row: wrong length"),
         (Response(bits=(1, 0, 1), exponents=((), (0,), (0, "x"))),
          "response cannot be encoded: exponents must hold integers"),
         (Response(bits=(True, 0, 1), exponents=((), (0,), (0, 0))),
@@ -942,13 +952,13 @@ def _cyclic12():
 
 
 def _assert_logged_bodies_decode(transcript):
-    """Each logged P->V body decodes from its text to a message that re-encodes to that text."""
+    """Each logged body's size is its text's length, and that text decodes to a
+    message that re-encodes to it, in both directions."""
     for m in transcript.messages:
-        if m.direction == "P->V":
-            text = protocol_mod.canonical_json(m.body)
-            assert len(text) == m.size_bytes
-            decoded = DECODERS[m.kind](json.loads(text))
-            assert protocol_mod.canonical_json(ENCODERS[m.kind](decoded)) == text
+        text = protocol_mod.canonical_json(m.body)
+        assert len(text) == m.size_bytes
+        decoded = DECODERS[m.kind](json.loads(text))
+        assert protocol_mod.canonical_json(ENCODERS[m.kind](decoded)) == text
 
 
 @settings(max_examples=200, deadline=None)
@@ -1014,13 +1024,90 @@ def test_runners_return_an_outcome_for_any_commitment(data):
 
 
 def test_transcript_sizes_match_canonical_bodies(group_for):
-    G = group_for("cyclic:12")
-    _, transcript = run_protocol_2msg(G, (2, 3), _factory("honest"), 3)
-    for message in transcript.messages:
-        assert message.size_bytes == len(
-            protocol_mod.canonical_json_bytes(message.body)
-        )
-    assert transcript.message_bytes() == sum(m.size_bytes for m in transcript.messages)
+    # The runner sizes each message by arithmetic; every prover, protocol
+    # and fixture must log the length of the message's canonical bytes.
+    for name in PROTOCOL_FIXTURES:
+        fixture = get_fixture(name)
+        G = group_for(fixture.spec)
+        for prover in PROVERS:
+            for transcript in (
+                run_protocol_2msg(G, fixture.primes, _factory(prover), 3)[1],
+                run_protocol_3msg(G, _factory(prover), 3)[1],
+            ):
+                assert transcript.messages, (name, prover, transcript.protocol)
+                for message in transcript.messages:
+                    assert message.size_bytes == len(
+                        protocol_mod.canonical_json_bytes(message.body)
+                    ), (name, prover, transcript.protocol, message.kind)
+                assert transcript.message_bytes() == sum(m.size_bytes for m in transcript.messages)
+
+
+_entries = (st.sampled_from([0] * 6 + [1, 2, 9, 10, -1, -10, 99, 100])
+            | st.integers(-10**40, 10**40))
+#: Rows of exact ints as the gate leaves them (or lists, as the verifier
+#: builds them): short ones, empty and all-zero ones, and long mostly-zero
+#: ones with a few entries set.
+_sized_rows = (
+    st.lists(_entries, max_size=8)
+    | st.integers(0, 300).map(lambda n: [0] * n)
+    | st.tuples(st.integers(1, 300), st.dictionaries(st.integers(0, 299), _entries, max_size=3))
+    .map(lambda a: [a[1].get(j, 0) for j in range(a[0])])
+).flatmap(lambda row: st.sampled_from([row, tuple(row)]))
+_codes = st.lists(st.binary(max_size=6).map(bytes.hex), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.fixed_dictionaries(
+    {"kind": st.sampled_from(["challenge", "commitment", "response"])},
+    optional={"masked": _codes, "elements": _codes, "bits": _sized_rows, "primes": _sized_rows,
+              "exponents": st.lists(_sized_rows, max_size=40),
+              "rows": st.lists(_sized_rows, max_size=6)},
+))
+def test_logged_size_is_the_canonical_length(body):
+    # Over the bodies the runners log (codes, rows of exact ints, lists of
+    # rows), the size ``_log`` computes is the canonical text's length.
+    transcript = protocol_mod.Transcript("2msg", 0)
+    protocol_mod._log(transcript, "P->V", body["kind"], body)
+    assert transcript.messages[0].size_bytes == len(protocol_mod.canonical_json(body))
+
+
+def test_runners_size_messages_without_encoding(group_for, monkeypatch):
+    # No runner encodes a message to learn its size: with the encoder
+    # refusing every call, honest runs give the pinned message_bytes().
+    def refuse(obj):
+        raise AssertionError("a runner encoded a message")
+
+    monkeypatch.setattr(protocol_mod, "canonical_json", refuse)
+    for spec, protocol, seed, order in ((WREATH, "2msg", 1, 1152), (S4, "3msg", 1, 24)):
+        outcome, transcript = _run(group_for(spec), protocol, "honest", seed)
+        assert outcome == Outcome.of(order)
+        assert transcript.message_bytes() == PINNED_CHALLENGES[(spec, protocol, seed)][1]
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no limit on int string conversion")
+@pytest.mark.parametrize("part", ["bits", "rows"])
+def test_an_int_too_long_for_str_aborts_at_the_gate(group_for, part):
+    # Sizing the body raises what encoding it raised: the gate aborts with
+    # the conversion's own error and logs nothing after the challenge.
+    huge = -(10 ** sys.get_int_max_str_digits())
+    with pytest.raises(ValueError) as conversion:
+        str(huge)
+
+    class Long(HonestProver):
+        def respond(self, elements, masked):
+            response = super().respond(elements, masked)
+            bits, rows = list(response.bits), list(response.exponents)
+            if part == "bits":
+                bits[1] = huge
+            else:
+                rows[2] = (huge, 0)
+            return Response(tuple(bits), tuple(rows))
+
+    G = group_for("cyclic:12")  # both protocols' towers have at least 3 rounds
+    for outcome, transcript in (run_protocol_2msg(G, (2, 3), Long, 0), run_protocol_3msg(G, Long, 0)):
+        assert outcome == Outcome.abort(f"response cannot be encoded: {conversion.value}")
+        assert transcript.messages[-1].kind == "challenge"
 
 
 def test_transcript_determinism_same_seed(group_for):

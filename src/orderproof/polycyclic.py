@@ -316,7 +316,7 @@ class SubgroupChain:
 
     def level_elements(self, j: int) -> list[ElementCode]:
         """A copy of the j-th prefix subgroup's elements, in insertion order."""
-        return self._codes[: self._sizes[j]]
+        return [self.level_element(j, k) for k in range(self._sizes[j])]
 
     def level_index(self, j: int, h: ElementCode) -> int | None:
         """The k with ``level_element(j, k) == h``, or None if h is not in level j."""
@@ -403,14 +403,6 @@ class _MappedView(SubgroupChain):
             table += offsets[k % size]
             k //= size
         return self._codes[table]
-
-    def level_elements(self, j: int) -> list[ElementCode]:
-        table = [0]
-        for position, m, unit in self._radices:
-            if position >= j:
-                break
-            table += [a + t for a in range(unit, m * unit, unit) for t in table]
-        return list(map(self._codes.__getitem__, table))
 
     def _table_index(self, j: int, h: ElementCode) -> int | None:
         """h's table index when h lies in level j, else None."""

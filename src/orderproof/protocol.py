@@ -171,101 +171,36 @@ class Transcript:
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-#: A list of rows is encoded one row per call past this many rows.
-ROWS_PER_CALL = 32
 
-
-def _long_rows(value) -> bool:
-    """Whether ``value`` is a list of rows to encode one row per call.
-
-    Rows times the last row's length estimates its entries: a t-round
-    response splits when t > ``ROWS_PER_CALL``, while S4×S3's commitment
-    (58 rows, the last of 9 entries) stays one call.
-    """
-    return (type(value) is list and len(value) > ROWS_PER_CALL
-            and type(value[0]) in (list, tuple) and type(value[-1]) in (list, tuple)
-            and len(value) * len(value[-1]) > ROWS_PER_CALL ** 2)
-
-
-def _descend(value) -> bool:
-    """Whether ``_encode_grouped`` splits ``value``: a dict, a list of dicts, or long rows."""
-    return type(value) is dict or (
-        type(value) is list and len(value) > 0 and type(value[0]) is dict) or _long_rows(value)
-
-
-#: ``set(map(type, row))`` of a non-empty row of exact ints.
-_INT = {int}
-
-
-def _int_row(row: Sequence[int]) -> str:
-    """``_encode(row)`` for a non-empty row of exact ints, by zero runs.
-
-    ``compress`` finds the nonzero positions in C; each one costs a Python
-    step, the zeros before it one string repeat.
-    """
-    pieces, start = [], 0
-    for j in compress(range(len(row)), row):
-        pieces.append(f"{'0,' * (j - start)}{row[j]},")
-        start = j + 1
-    pieces.append("0," * (len(row) - start))
-    return f"[{''.join(pieces)[:-1]}]"
-
-
-def _encode_grouped(obj, out: list[str]) -> None:
-    """Append the pieces of ``_encode(obj)`` to ``out``, grouping rows.
-
-    Descends into dicts and lists of dicts; every piece goes to the one
-    list, so the caller joins the whole text once.
-    """
-    if type(obj) is dict and any(map(_descend, obj.values())) and all(type(k) is str for k in obj):
-        opening = "{"
-        for k, v in sorted(obj.items()):
-            out.append(opening + _encode(k) + ":")
-            _encode_grouped(v, out)
-            opening = ","
-        out.append("}")
-    elif type(obj) is list and obj and type(obj[0]) is dict:
-        opening = "["
-        for item in obj:
-            out.append(opening)
-            _encode_grouped(item, out)
-            opening = ","
-        out.append("]")
-    elif _long_rows(obj):
-        opening = "["
-        for row in obj:
-            out.append(opening)
-            out.append(_int_row(row) if type(row) in (list, tuple) and set(map(type, row)) == _INT
-                       else _encode(row))
-            opening = ","
-        out.append("]")
+def _pieces(obj):
+    """The pieces of ``_encode(obj)``: a str-keyed dict by key, a list of containers by item."""
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        opening, closing, items = "{", "}", ((_encode(k) + ":", obj[k]) for k in sorted(obj))
+    elif type(obj) is list and obj and type(obj[0]) in (dict, list, tuple):
+        opening, closing, items = "[", "]", (("", item) for item in obj)
     else:
-        out.append(_encode(obj))
+        yield _encode(obj)
+        return
+    for key, value in items:
+        yield opening + key
+        yield from _pieces(value)
+        opening = ","
+    yield closing
 
 
 def canonical_json(obj) -> str:
     """Compact JSON with sorted keys: the text ``json.dumps`` gives.
 
-    It serializes (digests, ``--transcripts`` logs, the CLI); the runners
-    size a message without it, by ``_text_length``.  The text is ASCII, so
-    its length is the length of its bytes.  CPython 3.11's C encoder keeps
-    a string for every number it writes until it has 10^5 of them, and a
-    2-message response over a long tower holds about that many.  Mapping
-    fresh memory for those strings made scale-2msg trials about 12% slower
-    (2-core VM), so a long list of rows (``_long_rows``) is encoded one
-    row at a time, also where it sits inside a message inside a
-    transcript, and the pieces are joined once.  Such a row, list or
-    tuple, of exact ``int`` is written by zero runs (``_int_row``), one
-    step per nonzero entry; any other row (bools, IntEnum members, floats,
-    nested values) goes to the C encoder.  A value nested too deep for
-    that descent, or holding a cycle, gets the C encoder's own answer.
+    The text is ASCII, so its length is that of its bytes.  CPython 3.11's
+    C encoder holds a string for every number it writes within one call,
+    so ``_pieces`` gives it a long response one row at a time, wherever
+    the rows sit, and the pieces are joined once.  A value nested too deep
+    for that descent, or holding a cycle, gets the C encoder's own answer.
     """
-    pieces: list[str] = []
     try:
-        _encode_grouped(obj, pieces)
+        return "".join(_pieces(obj))
     except RecursionError:
         return _encode(obj)
-    return "".join(pieces)
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -363,6 +298,10 @@ def _wire_codes(value, what: str) -> tuple[ElementCode, ...]:
     except ValueError:
         pass
     raise WireError(f"{what} must hold lowercase hex strings")
+
+
+#: ``set(map(type, row))`` of a non-empty row of exact ints.
+_INT = {int}
 
 
 def _wire_ints(value, what: str) -> tuple[int, ...]:

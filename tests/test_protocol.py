@@ -9,7 +9,9 @@ import sys
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 from enum import IntEnum
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -44,7 +46,6 @@ from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
 from orderproof.groups import QueryCounts, QueryMeter
 from orderproof.polycyclic import MILLER_RABIN_EXACT_BELOW, RefinementError
 from orderproof.protocol import (
-    ROWS_PER_CALL,
     VerifierState,
     challenge_from_wire,
     challenge_to_wire,
@@ -1304,6 +1305,63 @@ def test_nontrivial_round_distributions_disjoint(group_for):
     assert not (set(d0) & set(d1))
 
 
+class _ReplayRng:
+    """An rng whose draws follow ``path``, extended by a first choice past its end."""
+
+    def __init__(self, path):
+        self.path, self.sizes = path, []
+
+    def _draw(self, n):
+        if len(self.sizes) == len(self.path):
+            self.path.append(0)
+        self.sizes.append(n)
+        return self.path[len(self.sizes) - 1]
+
+    def getrandbits(self, k):
+        return self._draw(1 << k)
+
+    def randrange(self, n):
+        return self._draw(n)
+
+
+def _challenge_paths(G, chain, elements, primes):
+    """(probability, state, masked) for every path of ``_issue_challenge``'s draws."""
+    path = []
+    while True:
+        rng = _ReplayRng(path)
+        state, masked = protocol_mod._issue_challenge(G, chain, elements, primes, rng)
+        yield Fraction(1, math.prod(rng.sizes)), state, masked
+        # The next path advances the last draw that has a choice left.
+        while path and path[-1] == rng.sizes[len(path) - 1] - 1:
+            path.pop()
+        if not path:
+            return
+        path[-1] += 1
+
+
+@pytest.mark.parametrize("name", PROTOCOL_FIXTURES)
+def test_optimal_cheating_probability_is_exactly_one_half(group_for, name):
+    # A cheating prover must name one trivial round i and guess its secret
+    # bit from the masked tuple mu it sees; its best chance is the sum over
+    # mu of max over (i, b) of P(mu, s_i = b).  Every draw path of the
+    # code that issues the challenge is enumerated, so this is exact.
+    G = group_for(get_fixture(name).spec)
+    c = honest_commitment(G)
+    elements, primes = c.elements + (c.elements[0],), c.primes + (2,)
+    chain = get_chain(G, elements)
+    trivial = [i for i, m in enumerate(chain.quotient_orders) if m == 1]
+    assert trivial[-1] == len(elements) - 1
+    joint = {}
+    total = Fraction(0)
+    for p, state, masked in _challenge_paths(G, chain, elements, primes):
+        guesses = joint.setdefault(masked, Counter())
+        for i in trivial:
+            guesses[i, state.secret_bits[i]] += p
+        total += p
+    assert total == 1
+    assert sum(max(guesses.values()) for guesses in joint.values()) == Fraction(1, 2)
+
+
 # -- wire codec -----------------------------------------------------------------
 
 def test_codec_round_trips(group_for):
@@ -1407,13 +1465,31 @@ _near_bodies = st.builds(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(value=_json | _near_bodies | st.sampled_from([
+_int_entries = st.sampled_from([0] * 6 + [1, 2, -1]) | st.integers() | st.integers(min_value=2**64)
+_odd_entries = st.booleans() | st.sampled_from(_Small) | st.floats()
+_rows = st.lists(_int_entries, max_size=60) | st.lists(_int_entries | _odd_entries, max_size=6)
+#: Lists of rows of either kind, long ones made by repeating a few rows past
+#: 32 rows, plus short lists that may hold a non-row.
+_row_lists = (
+    st.lists(_rows, min_size=1, max_size=5).map(lambda rs: rs * (32 // len(rs) + 1))
+    | st.lists(_rows | st.integers(), max_size=3)
+)
+_nested_rows = st.recursive(
+    _row_lists,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=_json | _near_bodies | _nested_rows | st.sampled_from([
     {"kind": "response", "bits": [0] * 300, "exponents": [[i % 3] * (i % 5) for i in range(300)]},
-    {"b": [[0]] + list(range(ROWS_PER_CALL)), "a": [[[1], {"y": 2, "x": [True, None]}]] * 300},
+    {"b": [[0]] + list(range(32)), "a": [[[1], {"y": 2, "x": [True, None]}]] * 300},
 ]))
 def test_canonical_bytes_are_the_compact_sorted_json(value):
-    # Encoding long lists of rows one row at a time must not change a byte.
+    # Giving the C encoder one row at a time must not change a byte, for
+    # rows of exact ints, bools, floats, IntEnum members or big ints.
     expected = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
     assert protocol_mod.canonical_json_bytes(value) == expected
     # The text is ASCII, so the logged message size can be its length.
@@ -1422,63 +1498,40 @@ def test_canonical_bytes_are_the_compact_sorted_json(value):
 
 def test_transcript_bytes_group_nested_rows(group_for, monkeypatch):
     # This relabeling of cyclic:32768 has a 45-round 2-message tower, so the
-    # response nested in the transcript holds more than ROWS_PER_CALL rows.
+    # response nested in the transcript is a list of 45 rows.
     G = group_for("cyclic:32768@seed=13")
     outcome, transcript = run_protocol_2msg(G, (2,), _factory("honest"), 1)
     assert outcome == Outcome.of(32768)
-    assert len(transcript.messages[-1].body["exponents"]) == 45 > ROWS_PER_CALL
+    assert len(transcript.messages[-1].body["exponents"]) == 45
     calls = []
     encode = protocol_mod._encode
     monkeypatch.setattr(protocol_mod, "_encode", lambda obj: calls.append(obj) or encode(obj))
     expected = json.dumps(transcript.to_wire(), sort_keys=True, separators=(",", ":")).encode()
     assert transcript.canonical_bytes() == expected
-    assert max(map(_longest_rows, calls)) <= ROWS_PER_CALL
+    # Each C call gets one row at most, so it never holds a string for every
+    # number of a long response at once.
+    assert calls and not any(map(_holds_rows, calls))
 
 
-def _longest_rows(obj) -> int:
-    """Length of the longest list of lists anywhere inside ``obj``."""
-    values = obj.values() if type(obj) is dict else obj if type(obj) is list else ()
-    own = len(obj) if type(obj) is list and obj and type(obj[0]) is list else 0
-    return max([own, *map(_longest_rows, values)])
+def _holds_rows(obj) -> bool:
+    """Whether ``obj`` is, or holds anywhere inside, a list with a list or tuple item."""
+    values = obj.values() if type(obj) is dict else obj if type(obj) in (list, tuple) else ()
+    own = type(obj) is list and any(type(item) in (list, tuple) for item in obj)
+    return own or any(map(_holds_rows, values))
 
 
 def test_canonical_bytes_of_deep_and_cyclic_values():
-    # Past the depth the grouped descent reaches, the C encoder answers.
+    # Past the depth the descent reaches, the C encoder answers.
     deep = inner = []
     for _ in range(400):
         inner.append({"k": []})
         inner = inner[0]["k"]
     assert protocol_mod.canonical_json_bytes(deep) == json.dumps(
         deep, sort_keys=True, separators=(",", ":")).encode()
-    cyclic = {"rows": [[0]] * (ROWS_PER_CALL + 1)}
+    cyclic = {"rows": [[0]] * 33}
     cyclic["self"] = [cyclic]
     with pytest.raises(ValueError, match="Circular reference"):
         protocol_mod.canonical_json_bytes(cyclic)
-
-
-_int_entries = st.sampled_from([0] * 6 + [1, 2, -1]) | st.integers() | st.integers(min_value=2**64)
-_odd_entries = st.booleans() | st.sampled_from(_Small) | st.floats()
-_rows = st.lists(_int_entries, max_size=60) | st.lists(_int_entries | _odd_entries, max_size=6)
-#: Lists of rows of either kind, long ones made by repeating a few rows past
-#: ``ROWS_PER_CALL``, plus short lists that may hold a non-row.
-_row_lists = (
-    st.lists(_rows, min_size=1, max_size=5).map(lambda rs: rs * (ROWS_PER_CALL // len(rs) + 1))
-    | st.lists(_rows | st.integers(), max_size=3)
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(value=st.recursive(
-    _row_lists,
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=3), children, max_size=3),
-    max_leaves=4,
-))
-def test_zero_run_rows_encode_as_json_dumps(value):
-    # Rows of exact ints are written by zero runs, any other row by the C
-    # encoder; the text is json.dumps's either way.
-    assert protocol_mod.canonical_json(value) == json.dumps(
-        value, sort_keys=True, separators=(",", ":"))
 
 
 def _parent_row_fault(row, length=None, primes=()):

@@ -15,21 +15,21 @@ answer.  ``compact_tower`` drops the identity and repeated positions of a
 refined tower by code equality alone; the honest 3-message prover commits
 to that tower.
 
-A tower built block by block from *pure powers* k^B of another tower's
-elements k (powers with no lower normal-form digit), each step dividing
-the last, and whose other positions lie in the level before them, is a
-view of the other's table (``SubgroupChain.view``): no oracle query, no
-copied code, O(t) memory.  A view that takes each block whole reads the
-table index for index; one that splits a block into prime steps, as prime
-refinement does, maps each of its indices onto the table's by one unit per
-step (``_MappedView``), and a view of a view maps onto the same table.  So
-a pure tower has one table, the pcgs chain's: the whole group is
-enumerated twice per oracle, by the closure and by the pcgs chain, and
-prime refinement, compaction and a forged tower add no table
-(cyclic:32768 with the prime 2).  An impure refined tower still gets a
-table of its own, built by coset steps.  Every result is memoized on the
-oracle (see ``groups.memoized``), so it is freed with the oracle.  Every
-enumeration is bounded by the one closure bound
+``compute_pcgs`` builds its table with each element k of quotient order
+m = p_1⋯p_k (primes ascending, with multiplicity) appended as its prime
+steps k^(m/p_1), k^(m/(p_1 p_2)), …, k, the steps prime refinement splits
+it into, filled from k's one power list at the cost of the single step.
+A tower that gives a table's steps of quotient order > 1 in order, each
+as its own element, with elements of the level so far anywhere between
+them, is a view of that table (``SubgroupChain.view``): it reads the table
+index for index, with no oracle query, no copied code and O(t) memory,
+and a view of a view reads the same table.  So a pure tower has one
+table, the pcgs table: the whole group is enumerated twice per oracle, by
+the closure and by the pcgs table, and prime refinement, compaction and
+a forged tower add no table (cyclic:32768 with the prime 2).  An impure
+refined tower still gets a table of its own, built by coset steps.  Every
+result is memoized on the oracle (see ``groups.memoized``), so it is freed
+with the oracle.  Every enumeration is bounded by the one closure bound
 ``groups.DEFAULT_CLOSURE_CAP``, so a memo key names only what the result
 depends on: the tower or the primes.
 """
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -167,11 +166,6 @@ class SubgroupChain:
     separate normality check (the 3-message commitment check).  A quotient
     order search or a level past ``DEFAULT_CLOSURE_CAP`` raises
     ClosureOverflowError.
-
-    Each radix is (position, m, unit): a digit d at that position stands
-    for table index d·unit.  In a table built here, and in a view that
-    shares it index for index, the unit is the level size before the
-    position; a view whose units differ is a ``_MappedView``.
     """
 
     def __init__(self, G: GroupOracle, elements: Sequence[ElementCode]):
@@ -181,120 +175,98 @@ class SubgroupChain:
         self._index: dict[ElementCode, int] = {G.identity: 0}
         self._codes = [G.identity]
         self._sizes = [1]
-        # The radices of an index: (position, m, unit) where m > 1, lowest first.
-        self._radices: list[tuple[int, int, int]] = []
+        # The radices of an index: (position, m) where m > 1, lowest first.
+        self._radices: list[tuple[int, int]] = []
         for h in elements:
             self._append(h)
 
-    def _append(self, h: ElementCode) -> None:
-        """Grow the tower by h: the next level is the union of level·h^a."""
+    def _append(self, h: ElementCode, split: bool = False) -> None:
+        """Grow the tower by h: the next level is the union of level·h^a.
+
+        With ``split``, an h of quotient order m = p_1⋯p_k (its prime
+        factors ascending, with multiplicity) goes in as the k prime steps
+        h^(m/p_1), h^(m/(p_1 p_2)), …, h, as prime refinement splits it.
+        Those steps are powers of h, so the coset steps of all k of them
+        list u·h^e at the index whose digits (a_1, …, a_k) have
+        e = Σ a_i·m/(p_1⋯p_i): the block is filled from h's one power list
+        at one product per code, as the single step h fills it.
+        """
         G = self.G
         index, codes = self._index, self._codes
         size = len(codes)
-        # powers[a - 1] = h^a for every a below the quotient order m.
-        powers, cur = [], h
+        # powers[e] = h^e for every e below the quotient order m.
+        powers, cur = [G.identity], h
         while cur not in index:
             powers.append(cur)
             cur = G.product(cur, h)
-            if len(powers) >= DEFAULT_CLOSURE_CAP:
+            if len(powers) > DEFAULT_CLOSURE_CAP:
                 raise ClosureOverflowError(
                     f"quotient order search exceeded cap of {DEFAULT_CLOSURE_CAP}"
                 )
-        m = len(powers) + 1
+        m = len(powers)
         if size * m > DEFAULT_CLOSURE_CAP:
             raise ClosureOverflowError(
                 f"subgroup level exceeded cap of {DEFAULT_CLOSURE_CAP} elements"
             )
-        if m > 1:
-            # codes[0] is the identity, whose coset element is h^a itself.
-            members = codes[1:size]
-            for power in powers:
-                codes.append(power)
-                codes.extend([G.product(u, power) for u in members])
-            index.update(zip(codes[size:], range(size, len(codes))))
-            if len(index) != len(codes):
-                raise ChainError("normal-form collision: sequence is not polycyclic")
-            self._radices.append((len(self.elements), m, size))
-        self.elements += (h,)
-        self.quotient_orders += (m,)
-        self._sizes.append(len(codes))
+        steps = [m]
+        if split and m > 1:
+            steps, rest = [], m
+            for p in prime_factors(m):
+                while rest % p == 0:
+                    steps.append(p)
+                    rest //= p
+        # exponents[d] = e for the block digit d; each step's digit is the
+        # next higher one.
+        exponents, unit = [0], m
+        for p in steps:
+            unit //= p
+            exponents = [e + a * unit for a in range(p) for e in exponents]
+            if p > 1:
+                self._radices.append((len(self.elements), p))
+            self.elements += (h if unit == 1 else powers[unit],)
+            self.quotient_orders += (p,)
+            self._sizes.append(self._sizes[-1] * p)
+        # codes[0] is the identity, whose coset element is h^e itself.
+        members = codes[1:size]
+        for e in exponents[1:]:
+            power = powers[e]
+            codes.append(power)
+            codes.extend([G.product(u, power) for u in members])
+        index.update(zip(codes[size:], range(size, len(codes))))
+        if len(index) != len(codes):
+            raise ChainError("normal-form collision: sequence is not polycyclic")
 
     def view(self, elements: Sequence[ElementCode]) -> SubgroupChain | None:
         """The chain of ``elements`` as a view of this chain's table, or None.
 
-        Number this chain's positions of quotient order > 1 as blocks
-        q = 0, 1, …: block q's element k_q has order m_q over the level
-        L_{q−1} before it, and |L_{q−1}| is the product of the earlier
-        m's.  The coset step puts u·k_q^b at index b·|L_{q−1}| + index(u),
-        so k_q^B, for B < m_q, sits at index B·|L_{q−1}| with no lower
-        digit: a *pure power* of block q.  The view walks ``elements``
-        with a state (q, s), under which its level is L_{q−1}·⟨k_q^s⟩, of
-        size |L_{q−1}|·m_q/s: the indices whose block-q digit is a
-        multiple of s, over every lower digit.  It starts at (0, m_0), the
-        trivial level.  An element h of this chain's top level is
-        - *trivial* (quotient order 1) when it lies in that level: its
-          index is below |L_{q−1}|, or below |L_q| with a block-q digit
-          that s divides;
-        - a *new block* when it lies in a later block q′ and the level is
-          exactly L_{q′−1} (its size is |L_{q′−1}|); the state becomes
-          (q′, m_q′), and h must then be a pure step;
-        - a *pure step* when h = k_q^B is a pure power of the current
-          block with B | s: its quotient order is r = s/B, and the state
-          becomes (q, B).
-        Anything else returns None.  At a pure step the coset step would
-        list, for a in 1..r−1, u·h^a over the level's codes u in order.
-        A level code u at index p has block-q digit b, a multiple of s at
-        most m_q − s, and a·B ≤ s − B, so b + a·B < m_q: adding a·B to
-        that digit carries into no higher block, and u·h^a is the code at
-        index p + a·B·|L_{q−1}|.  So the view lists the same codes in the
-        same order as a chain built from scratch, with no oracle query.
-
-        Those indices are this chain's.  Its block-q digit b stands for
-        table index b·unit_q, so the view's digit d at a pure step k_q^B
-        stands for d·B·unit_q: the view keeps a reference to the table and
-        one (position, r, B·unit_q) radix per step, O(t) memory, and never
-        copies a code.  A view of a view maps onto the same table.  When
-        every unit is the level size before its position (each step takes
-        a whole block of a chain indexed as its table) the view's indices
-        are the table's and it reads the table directly; otherwise it is a
-        ``_MappedView``.  A view is never grown.
+        A view accepts one shape: this chain's steps of quotient order
+        m > 1, in order, each given by its own element, with elements of
+        the level so far (quotient order 1) anywhere between them.  Then
+        each step meets the level it met here, so the coset step lists
+        the same codes in the same order: the view's level j is a prefix
+        of this table and its indices are the table's.  The view keeps a
+        reference to the table and one (position, m) radix per step,
+        O(t) memory, and makes no query.  A view of a view reads the same
+        table.  Anything else returns None.  A view is never grown.
         """
-        radix = [m for _, m, _ in self._radices]
-        bases = [1]  # bases[q] = |L_{q−1}|
-        for m in radix:
-            bases.append(bases[-1] * m)
-        q, s, size = 0, radix[0] if radix else 1, 1
+        steps = [(self.elements[position], m) for position, m in self._radices]
         orders: list[int] = []
-        radices: list[tuple[int, int, int]] = []
+        radices: list[tuple[int, int]] = []
         sizes = [1]
         for h in elements:
-            k = self.level_index(len(self), h)
-            if k is None:
-                return None
-            block = bisect_right(bases, k) - 1
-            if block < q or (block == q and k // bases[q] % s == 0):
+            if self._index.get(h, sizes[-1]) < sizes[-1]:
                 m = 1
+            elif len(radices) < len(steps) and h == steps[len(radices)][0]:
+                m = steps[len(radices)][1]
+                radices.append((len(orders), m))
             else:
-                if block > q:
-                    if size != bases[block]:
-                        return None
-                    q, s = block, radix[block]
-                power, lower = divmod(k, bases[q])
-                if lower or s % power:
-                    return None
-                m = s // power
-                radices.append((len(orders), m, power * self._radices[q][2]))
-                s = power
+                return None
             orders.append(m)
-            size *= m
-            sizes.append(size)
-        mapped = any(unit != sizes[position] for position, _, unit in radices)
-        chain = (_MappedView if mapped else SubgroupChain)(self.G, ())
+            sizes.append(sizes[-1] * m)
+        chain = SubgroupChain(self.G, ())
         chain._codes, chain._index = self._codes, self._index
         chain._radices, chain._sizes = radices, sizes
         chain.elements, chain.quotient_orders = tuple(elements), tuple(orders)
-        if mapped:
-            chain._prepare()
         return chain
 
     def __len__(self) -> int:
@@ -342,103 +314,10 @@ class SubgroupChain:
             return (0,) * j
         # A member of level j has no digit past position j: k reaches 0 first.
         row = [0] * j
-        for position, m, _ in self._radices:
+        for position, m in self._radices:
             if not k:
                 break
             k, row[position] = divmod(k, m)
-        return tuple(row)
-
-
-class _MappedView(SubgroupChain):
-    """A view whose indices are not its table's (see ``SubgroupChain.view``).
-
-    Its index with digits d at its radices (position, m, unit) is the
-    table index Σ d·unit.  The radices of one table block come in a run
-    whose units descend from the block's top (m·unit at its first radix,
-    the size of the table's level that ends the block), each m the ratio
-    of the unit before to its own, so a table index k reads back the
-    digit d = k // unit % m at each radix.  Runs come in table order, and
-    each but the last run of a level covers its block.  So level j holds
-    exactly the table indices k below the top of its last run whose digit
-    in that block is a multiple of the run's last unit: k < top and
-    k % unit < base, base being the top of the run before (1 for the
-    first).  ``_bounds[j]`` is (top, unit, base), so membership costs no
-    pass over the radices; ``decompose`` and ``level_index`` make one and
-    stop as soon as the remaining index is 0.
-    ``level_element``, the verifier's mask draw, reads the digits a chunk
-    at a time: consecutive radices whose m's multiply to at most
-    ``_CHUNK`` share one list of the table offsets of their digit
-    combinations, so cyclic:32768's 15 binary radices take two steps.
-    """
-
-    _CHUNK = 256
-
-    def _prepare(self) -> None:
-        """Set ``_chunks`` and ``_bounds`` from the radices: O(t) memory."""
-        chunks: list[tuple[int, Sequence[int]]] = []
-        for _, m, unit in self._radices:
-            if chunks and chunks[-1][0] * m <= self._CHUNK:
-                size, offsets = chunks[-1]
-                chunks[-1] = (size * m, [o + d * unit for d in range(m) for o in offsets])
-            else:
-                chunks.append((m, range(0, m * unit, unit)))
-        self._chunks = chunks
-        # Level j's bound is the one after the last radix before position j.
-        bounds, top, base = [(1, 1, 1)], 1, 1
-        for position, m, unit in self._radices:
-            bounds += [bounds[-1]] * (position + 1 - len(bounds))
-            if m * unit > top:  # the first radix of the next block
-                base, top = top, m * unit
-            bounds.append((top, unit, base))
-        bounds += [bounds[-1]] * (len(self.elements) + 1 - len(bounds))
-        self._bounds = bounds
-
-    def level_element(self, j: int, k: int) -> ElementCode:
-        if not 0 <= k < self._sizes[j]:
-            raise IndexError(f"index {k} out of range for level {j}")
-        table = 0
-        for size, offsets in self._chunks:
-            if not k:
-                break
-            table += offsets[k % size]
-            k //= size
-        return self._codes[table]
-
-    def _table_index(self, j: int, h: ElementCode) -> int | None:
-        """h's table index when h lies in level j, else None."""
-        self._check_level(j)
-        top, unit, base = self._bounds[j]
-        k = self._index.get(h, top)
-        return k if k < top and k % unit < base else None
-
-    def level_index(self, j: int, h: ElementCode) -> int | None:
-        # A pass of its own, not decompose's row: a lookup builds no list.
-        k = self._table_index(j, h)
-        if k is None:
-            return None
-        local, sizes = 0, self._sizes
-        for position, m, unit in self._radices:
-            if not k:
-                break
-            digit = k // unit % m
-            k -= digit * unit
-            local += digit * sizes[position]
-        return local
-
-    def is_member(self, j: int, h: ElementCode) -> bool:
-        return self._table_index(j, h) is not None
-
-    def decompose(self, j: int, h: ElementCode) -> tuple[int, ...] | None:
-        k = self._table_index(j, h)
-        if k is None:
-            return None
-        row = [0] * j
-        for position, m, unit in self._radices:
-            if not k:
-                break
-            digit = k // unit % m
-            k -= digit * unit
-            row[position] = digit
         return tuple(row)
 
 
@@ -449,11 +328,11 @@ def get_chain(
 
     The one accessor of a tower's table.  On a miss the chain is
     ``source.view(elements)`` when ``SubgroupChain.view`` accepts the
-    tower: it reads ``source``'s table, index for index when each of its
-    steps takes a whole block of ``source`` and through one unit per step
-    otherwise, at no query and with no code copied.  Any other tower, or
-    any tower when ``source`` is None, gets a table of its own built by
-    coset steps.
+    tower: it reads ``source``'s table index for index, at no query and
+    with no code copied.  Any other tower, or any tower when ``source`` is
+    None, gets a table of its own built by coset steps.  So does
+    ``compute_pcgs(G).elements`` when a pcgs element has a composite
+    quotient order: the pcgs table holds its prime steps instead.
     """
     elements = tuple(elements)
 
@@ -559,8 +438,9 @@ def compute_pcgs(G: GroupOracle) -> PolycyclicSequence:
     the sequence depends only on the layers as sets, not on the order an
     enumeration lists them in; they are popped from a heap, so a layer
     costs O(|layer|) plus O(log |layer|) per candidate popped, not a sort
-    of the whole layer.  The normality lets the sequence's chain
-    grow by the coset step, and that chain is kept for ``get_chain``.
+    of the whole layer.  The normality lets the sequence's chain grow by
+    the coset step, each element in its prime steps, and that chain is
+    kept as the pcgs table that ``refine_with_primes`` views.
     Raises NotSolvableError when the derived series does not reach the
     trivial group.
     """
@@ -570,6 +450,7 @@ def compute_pcgs(G: GroupOracle) -> PolycyclicSequence:
 def _build_pcgs(G: GroupOracle) -> PolycyclicSequence:
     series = _derived_series(G)
     chain = SubgroupChain(G, ())
+    elements, orders = [], []
     for layer in reversed(series):
         # The smallest code first; a popped member stays a member, so the
         # pops meet the non-members in sorted order.
@@ -578,9 +459,28 @@ def _build_pcgs(G: GroupOracle) -> PolycyclicSequence:
         while candidates and chain.group_order() != len(layer):
             candidate = heapq.heappop(candidates)
             if not chain.is_member(len(chain), candidate):
-                chain._append(candidate)
+                size = chain.group_order()
+                chain._append(candidate, split=True)
+                elements.append(candidate)
+                orders.append(chain.group_order() // size)
     memoized(G, ("chain", chain.elements), lambda: chain)
-    return PolycyclicSequence(chain.elements, None, chain.quotient_orders)
+    memoized(G, ("pcgs table", tuple(elements)), lambda: chain)
+    return PolycyclicSequence(tuple(elements), None, tuple(orders))
+
+
+def _pcgs_table(G: GroupOracle, elements: tuple[ElementCode, ...]) -> SubgroupChain:
+    """The table of a pcgs with each element appended in prime steps (memoized).
+
+    ``compute_pcgs`` stores its own; any other sequence gets one built here.
+    """
+
+    def build() -> SubgroupChain:
+        chain = SubgroupChain(G, ())
+        for k in elements:
+            chain._append(k, split=True)
+        return chain
+
+    return memoized(G, ("pcgs table", elements), build)
 
 
 # ---------------------------------------------------------------------------
@@ -623,36 +523,41 @@ def refine_with_primes(
     """Refine a polycyclic sequence so each quotient order is 1 or a prime.
 
     This is the paper's refinement: each sequence element k is replaced by
-    its powers k^e over the full exponent schedule, giving l*n entries per
-    original element (n is the encoding length), all of which are returned; the 2-message verifier
-    runs on this tower.  Most positions are the identity or repeat an
-    earlier element, and ``compact_tower`` drops them for the honest
-    3-message commitment.  The prime attached to a refined position is the
-    schedule ratio at that position; the first position of every block gets
-    the smallest prime, which is the ratio the schedule would have
-    continued with.  Each block is computed backwards from k^1 = k, as
-    k^{e_j} = (k^{e_{j+1}})^{r_{j+1}} with r_{j+1} the schedule ratio, so a
-    position costs a power by one prime (1 product for 2, 2 for 3) rather
-    than a power by the whole schedule exponent, and a power of the
-    identity costs nothing; the elements, and so the codes, are the same.
-    Requires ``primes`` to be primes below ``MILLER_RABIN_EXACT_BELOW``,
-    checked first, so the trivial group refuses a bad prime as any group
-    does, and to cover every prime factor of the group order: the
-    result is validated, through the memoized normal-form chain of the
-    whole tower, against the quotient-order invariant and the enumerated
-    group order, and a violation raises RefinementError.  ``get_chain``
-    makes that chain a view of the pcgs chain (``SubgroupChain.view``)
-    when the refined tower is pure: each refined element k^e lies in the
-    level before it, or is a power k^B with no lower digit whose B divides
-    the step before it.  Then the chain costs no query and holds no table
-    of its own, and the refinement costs only its power queries (40 on
-    the benchmark's cyclic:32768, against 32,807 with a table built by
-    coset steps).  Under one prime p, on a p-group as the
-    check requires, every refined tower is pure: k^(p^j) lies in the level
-    before k or is a pure power.  Under several primes an exponent 3^j of
-    an element k of quotient order 2 leaves lower digits unless k² is the
-    identity, and such a tower gets a table of its own.  Memoized per
-    oracle (the computation is deterministic).
+    its powers k^e over the full exponent schedule (``refinement_exponents``),
+    giving l*n entries per original element (n is the encoding length), all
+    of which are returned; the 2-message verifier runs on this tower.  Most
+    positions are the identity or repeat an earlier element, and
+    ``compact_tower`` drops them for the honest 3-message commitment.  The
+    prime attached to a refined position is the schedule ratio at that
+    position, so the attached primes of a block are the ascending primes,
+    each repeated n times, and its ratios are those after the first; the
+    first position of every block gets the smallest prime, which is the
+    ratio the schedule would have continued with.  Each block is computed
+    backwards from k^1 = k, as k^{e_j} = (k^{e_{j+1}})^{r_{j+1}} with
+    r_{j+1} the ratio, so a position costs a power by one prime (1 product
+    for 2, 2 for 3) rather than a power by the whole schedule exponent, and
+    a power of the identity costs nothing; the elements, and so the codes,
+    are the same.  Requires ``primes`` to be primes below
+    ``MILLER_RABIN_EXACT_BELOW``, checked first, so the trivial group
+    refuses a bad prime as any group does, and to cover every prime factor
+    of the group order: the result is validated, through the memoized
+    normal-form chain of the whole tower, against the quotient-order
+    invariant and the enumerated group order, and a violation raises
+    RefinementError.
+
+    ``get_chain`` makes that chain a view of the pcgs table, which holds
+    each pcgs element k of quotient order m = p_1⋯p_k as its prime steps
+    k^(m/p_1), …, k (``SubgroupChain.view``), when the refined tower is
+    pure: its positions of quotient order > 1 are exactly those steps, in
+    order, and every other position lies in the level before it.  Then the
+    chain costs no query and holds no table of its own, and the refinement
+    costs only its power queries (40 on the benchmark's cyclic:32768,
+    against 32,807 with a table built by coset steps).  Under one prime p,
+    on a p-group as the check requires, every refined tower is pure: k^(p^j)
+    lies in the level before k or is a prime step.  Under several primes an
+    exponent 3^j of an element k of quotient order 2 leaves lower digits
+    unless k² is the identity, and such a tower gets a table of its own.
+    Memoized per oracle (the computation is deterministic).
     """
     ordered = tuple(sorted(set(primes)))
     for p in ordered:
@@ -664,20 +569,19 @@ def refine_with_primes(
         raise RefinementError("prime set must cover the group order; got an empty set")
 
     def build() -> PolycyclicSequence:
-        schedule = refinement_exponents(ordered, G.encoding_length)
-        ratios = [a // b for a, b in zip(schedule, schedule[1:])]
+        attached = [p for p in ordered for _ in range(G.encoding_length)]
         elements: list[ElementCode] = []
         for k in pcgs.elements:
             # k^{e_j} = (k^{e_{j+1}})^{r_{j+1}}, backwards from k^1 = k; a
             # power of the identity is the identity and costs no query.
             block = [k]
-            for r in reversed(ratios):
+            for r in reversed(attached[1:]):
                 x = block[-1]
                 block.append(x if x == G.identity else G.power(x, r))
             elements.extend(reversed(block))
-        attached = [ordered[0], *ratios] * len(pcgs.elements)
+        attached *= len(pcgs.elements)
 
-        chain = get_chain(G, elements, get_chain(G, pcgs.elements))
+        chain = get_chain(G, elements, _pcgs_table(G, pcgs.elements))
         orders = chain.quotient_orders
         for i, (m, r) in enumerate(zip(orders, attached)):
             if m not in (1, r):
@@ -710,10 +614,11 @@ def compact_tower(G: GroupOracle, seq: PolycyclicSequence) -> PolycyclicSequence
     rounds an adversary could try to inflate are dropped, never one that
     carries a factor of the order.
 
-    The coset step adds no code at a dropped position, so ``get_chain``
-    memoizes the compacted tower's chain as a view of ``seq``'s, at no
-    query once ``seq``'s is built (``refine_with_primes`` builds it): the
-    two towers share one normal-form table.
+    A dropped position lies in the level before it and every kept one is
+    ``seq``'s own element, so ``get_chain`` memoizes the compacted tower's
+    chain as a view of ``seq``'s, at no query once ``seq``'s is built
+    (``refine_with_primes`` builds it): the two towers share one
+    normal-form table.
     """
     seen = {G.identity}
     kept = []

@@ -331,9 +331,11 @@ class OrderForgerProver(GuessInflateProver):
     protocol, where the verifier owns the tower, it falls back to inflating
     every inflatable trivial round, which keeps its claimed wrong order
     consistent across repeated runs.  Each inflated round is answered as
-    ``GuessInflateProver`` answers its one.  ``get_chain`` makes the forged
-    tower's chain a view of the honest chain's table, so each forged tower
-    costs O(t) memory and no query for its table.
+    ``GuessInflateProver`` answers its one.  The forged tower is the honest
+    tower's steps in order plus one element of their top level, so
+    ``get_chain`` makes its chain a view that reads the honest chain's
+    table index for index: each forged tower costs O(t) memory and no
+    query for its table.
     """
 
     name = "order_forger"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ from orderproof import (
     ExperimentConfig,
     SubproductSampler,
     UsageError,
+    compute_pcgs,
     make_group,
     parse_group_spec,
     run_experiment,
@@ -18,6 +20,7 @@ from orderproof import (
 from orderproof import harness, protocol
 from orderproof.cli import main
 from orderproof.harness import recount_from_log
+from orderproof.polycyclic import _pcgs_table, is_prime
 
 
 def test_wilson_interval_known_values():
@@ -280,11 +283,31 @@ def test_cli_pcgs(capsys):
 
 
 def test_cli_pcgs_holds_one_table_for_a_pure_tower(capsys):
-    # The refined and compacted towers of cyclic:32768 map their indices
-    # onto the pcgs table: one table of the group's 32768 elements.
+    # The refined and compacted towers of cyclic:32768 read the pcgs table
+    # index for index: one table of the group's 32768 elements.
     assert main(["pcgs", "--primes", "2", "--group", "cyclic:32768@seed=7"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["setup_queries"], payload["table_entries"]) == (65567, 32768)
+
+
+@pytest.mark.parametrize("spec,setup_queries,entries,orders", [
+    ("cyclic:4096", 8195, 4096, [4096]),
+    ("direct:cyclic:3,cyclic:9", 76, 27, [9, 3]),
+    ("cyclic:72@seed=3", 147, 72, [4, 6, 3]),
+    ("direct:cyclic:8,cyclic:9@seed=4", 166, 72, [36, 2]),
+])
+def test_cli_pcgs_splits_composite_blocks_at_no_query(capsys, spec, setup_queries, entries, orders):
+    # The pcgs table holds each composite block as its prime steps, filled
+    # from the block's one power list: the queries and entries of a single
+    # step, while the pcgs keeps its composite quotient orders.
+    assert main(["pcgs", "--group", spec]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["setup_queries"], payload["table_entries"]) == (setup_queries, entries)
+    assert payload["quotient_orders"] == orders
+    G = make_group(parse_group_spec(spec))
+    table = _pcgs_table(G, compute_pcgs(G).elements)
+    assert all(is_prime(m) for m in table.quotient_orders)
+    assert math.prod(table.quotient_orders) == math.prod(orders)
 
 
 def test_cli_pcgs_without_primes_has_no_round_counts(capsys):

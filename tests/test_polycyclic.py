@@ -35,9 +35,9 @@ from orderproof import (
 from orderproof.fixtures import PROTOCOL_FIXTURES, get_fixture
 from orderproof.polycyclic import (
     MILLER_RABIN_EXACT_BELOW,
-    _MappedView,
     _conjugation_closure,
     _derived_series,
+    _pcgs_table,
     is_prime,
 )
 
@@ -68,6 +68,19 @@ def test_schedule_properties(primes, n):
     assert all(a > b for a, b in zip(schedule, schedule[1:]))
     assert all(a % b == 0 and a // b in primes for a, b in zip(schedule, schedule[1:]))
     assert schedule[-1] == 1
+
+
+@pytest.mark.parametrize("spec,primes", [("cyclic:12", (2, 3)), ("cyclic:30", (5, 2, 3))])
+def test_refinement_attaches_the_schedule_ratios(spec, primes):
+    # Each ascending prime repeated n times: the first is the ratio the
+    # schedule would continue with, the others are its consecutive ratios.
+    G = make_group(parse_group_spec(spec))
+    n = G.encoding_length
+    schedule = refinement_exponents(primes, n)
+    attached = [p for p in sorted(primes) for _ in range(n)]
+    assert [a // b for a, b in zip(schedule, schedule[1:])] == attached[1:]
+    pcgs = compute_pcgs(G)
+    assert refine_with_primes(G, pcgs, primes).primes == tuple(attached) * len(pcgs)
 
 
 def test_schedule_rejects_bad_input():
@@ -592,9 +605,8 @@ def test_compacted_chain_is_a_view_of_the_refined_chain(spec, primes):
 
 
 def test_a_tower_that_adds_codes_elsewhere_gets_its_own_table():
-    # (6, 9, 3, 1) in Z/12: g = 1 is the pure power of the table's last
-    # block, at index 4, but the tower (1,) would start that block before
-    # the level below it, <6, 9>, is full, so it is no view.
+    # (6, 9, 3, 1) in Z/12: g = 1 is in the table, at index 4, but it is
+    # none of the table's steps, so the tower (1,) is no view.
     G = make_group(parse_group_spec("cyclic:12"))
     full = get_chain(G, compact_tower(G, refine_with_primes(G, compute_pcgs(G), (2, 3))).elements)
     g = G.generators[0]
@@ -639,28 +651,31 @@ def _assert_same_chain(chain, fresh):
             assert k is None or chain.level_element(j, k) == h
 
 
-#: (spec, primes, how the refined tower's view reads the pcgs table).
+#: Refined towers whose nontrivial steps are the pcgs table's prime steps.
 #: cyclic:32768 splits its block of order 16384 into 2-steps, cyclic:4096
-#: its only block, c3xc9 its block of order 9 into two 3-steps, so their
-#: views map their indices onto the table's; S4's refined tower takes each
-#: block whole and reads the pcgs table index for index.
+#: its only block, c3xc9 its block of order 9 into two 3-steps; S4's pcgs
+#: has prime quotient orders only, so its table is the pcgs chain.
 PURE_REFINED_CASES = [
-    ("cyclic:32768@seed=7", (2,), "mapped"),
-    ("cyclic:4096", (2,), "mapped"),
-    ("direct:cyclic:3,cyclic:9", (3,), "mapped"),
-    (get_fixture("s4").spec, get_fixture("s4").primes, "shared"),
+    ("cyclic:32768@seed=7", (2,)),
+    ("cyclic:4096", (2,)),
+    ("direct:cyclic:3,cyclic:9", (3,)),
+    (get_fixture("s4").spec, get_fixture("s4").primes),
 ]
 
 
-@pytest.mark.parametrize("spec,primes,table", PURE_REFINED_CASES)
-def test_refined_view_matches_a_chain_built_from_scratch(spec, primes, table):
+@pytest.mark.parametrize("spec,primes", PURE_REFINED_CASES)
+def test_refined_view_matches_a_chain_built_from_scratch(spec, primes):
     G = make_group(parse_group_spec(spec))
     pcgs = compute_pcgs(G)
-    source = get_chain(G, pcgs.elements)
+    source = _pcgs_table(G, pcgs.elements)
     refined = refine_with_primes(G, pcgs, primes)
     chain = get_chain(G, refined.elements)
+    # The refined tower's steps are the table's, so it shares the table
+    # index for index.
+    steps = [h for h, m in zip(refined.elements, refined.quotient_orders) if m > 1]
+    assert steps == list(source.elements)
     assert chain._codes is source._codes and chain._index is source._index
-    assert isinstance(chain, _MappedView) == (table == "mapped")
+    assert chain.level_elements(len(chain)) == source.level_elements(len(source))
     _assert_same_chain(chain, SubgroupChain(G, refined.elements))
     _assert_same_chain(source.view(refined.elements), chain)
 
@@ -670,7 +685,7 @@ def test_a_split_refined_view_holds_no_table():
     # and one radix per step: no code list, no dict, no query.
     G = make_group(parse_group_spec("cyclic:32768@seed=7"))
     pcgs = compute_pcgs(G)
-    source = get_chain(G, pcgs.elements)
+    source = _pcgs_table(G, pcgs.elements)
     elements = refine_with_primes(G, pcgs, (2,)).elements
     queries = G.query_counts()
     tracemalloc.start()
@@ -681,7 +696,7 @@ def test_a_split_refined_view_holds_no_table():
     finally:
         tracemalloc.stop()
     assert G.query_counts() == queries
-    assert isinstance(chain, _MappedView) and chain.group_order() == 32768
+    assert chain._codes is source._codes and chain.group_order() == 32768
     assert retained < 64 * 1024
 
 
@@ -713,7 +728,7 @@ IMPURE_REFINED_CASES = [
 def test_impure_refined_tower_gets_its_own_table(spec, primes):
     G = make_group(parse_group_spec(spec))
     pcgs = compute_pcgs(G)
-    source = get_chain(G, pcgs.elements)
+    source = _pcgs_table(G, pcgs.elements)
     refined = refine_with_primes(G, pcgs, primes)
     assert source.view(refined.elements) is None
     chain = get_chain(G, refined.elements)
@@ -721,26 +736,18 @@ def test_impure_refined_tower_gets_its_own_table(spec, primes):
     assert chain.quotient_orders == refined.quotient_orders
 
 
-def _divisor_steps(m, rng):
-    """A chain m > d_1 > ... > 1 of exponents, each dividing the one before."""
-    steps, s = [], m
-    while s > 1:
-        s = rng.choice([d for d in range(1, s) if s % d == 0])
-        steps.append(s)
-    return steps
+def _pure_tower(source, rng):
+    """A random tower ``source.view`` must accept: a prefix of its steps, in order.
 
-
-def _pure_tower(G, source, rng):
-    """A random tower ``source.view`` must accept: pure powers block by block."""
-    tower, base = [], 1
-    blocks = [m for _, m, _ in source._radices]
-    for m in blocks[: rng.randint(1, len(blocks))]:
-        for power in _divisor_steps(m, rng):
-            while rng.random() < 0.3:
-                level = SubgroupChain(G, tower).level_elements(len(tower))
-                tower.append(rng.choice(level))
-            tower.append(source.level_element(len(source), power * base))
-        base *= m
+    Elements of the level so far are put anywhere between the steps.
+    """
+    tower, size = [], 1
+    steps = [(source.elements[position], m) for position, m in source._radices]
+    for h, m in steps[: rng.randint(1, len(steps))]:
+        while rng.random() < 0.3:
+            tower.append(source.level_element(len(source), rng.randrange(size)))
+        tower.append(h)
+        size *= m
     return tuple(tower)
 
 
@@ -752,17 +759,17 @@ def _pure_tower(G, source, rng):
 ])
 def test_views_of_random_towers_match_chains_built_from_scratch(spec):
     G = make_group(parse_group_spec(spec))
-    source = get_chain(G, compute_pcgs(G).elements)
+    source = _pcgs_table(G, compute_pcgs(G).elements)
+    # The pcgs table holds each block in prime steps.
+    assert all(is_prime(m) for _, m in source._radices)
     everything = source.level_elements(len(source))
     rng = Random(11)
-    mapped = 0
     for _ in range(60):
-        tower = _pure_tower(G, source, rng)
+        tower = _pure_tower(source, rng)
         chain = source.view(tower)
         assert chain is not None
         _assert_same_chain(chain, SubgroupChain(G, tower))
         assert chain._codes is source._codes
-        mapped += isinstance(chain, _MappedView)
         # Any other element in any place: a view, when there is one, must
         # still be the chain built from scratch.
         spoiled = list(tower)
@@ -770,34 +777,6 @@ def test_views_of_random_towers_match_chains_built_from_scratch(spec):
         chain = source.view(spoiled)
         if chain is not None:
             _assert_same_chain(chain, SubgroupChain(G, spoiled))
-    # A block of composite order can be split, and then the view maps its
-    # indices onto the table's.
-    assert mapped or all(is_prime(m) for _, m, _ in source._radices)
-
-
-@pytest.mark.parametrize("spec", [
-    "cyclic:4096@seed=2",
-    "cyclic:72@seed=3",
-    "direct:cyclic:8,cyclic:9@seed=4",
-])
-def test_split_towers_over_a_mapped_view_match_chains_built_from_scratch(spec):
-    # A view of a mapped view maps onto the same table, at no query.
-    G = make_group(parse_group_spec(spec))
-    root = get_chain(G, compute_pcgs(G).elements)
-    rng = Random(5)
-    mapped = 0
-    for _ in range(40):
-        source = root.view(_pure_tower(G, root, rng))
-        if not isinstance(source, _MappedView):
-            continue
-        mapped += 1
-        tower = _pure_tower(G, source, rng)
-        queries = G.query_counts()
-        chain = get_chain(G, tower, source)
-        assert G.query_counts() == queries
-        assert chain._codes is root._codes
-        _assert_same_chain(chain, SubgroupChain(G, tower))
-    assert mapped >= 10
 
 
 # -- pcgs candidate order -------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -27,6 +28,7 @@ from orderproof import (
     build_commitment,
     challenge_code_distribution,
     compute_pcgs,
+    enumerate_closure,
     get_chain,
     group_order,
     honest_commitment,
@@ -1360,6 +1362,82 @@ def test_optimal_cheating_probability_is_exactly_one_half(group_for, name):
         total += p
     assert total == 1
     assert sum(max(guesses.values()) for guesses in joint.values()) == Fraction(1, 2)
+
+
+def _words(G, elements, primes):
+    """word -> its first row, over every row of exponents below ``primes``."""
+    pairs = [((), G.identity)]
+    for h, r in zip(elements, primes):
+        powers = [G.power(h, a) for a in range(r)]
+        pairs = [(row + (a,), G.product(word, p))
+                 for row, word in pairs for a, p in enumerate(powers)]
+    words = {}
+    for row, word in pairs:
+        words.setdefault(word, row)
+    return words
+
+
+def _accepted_commitments(G, t_max, prime_set):
+    """Every commitment with t <= t_max that the check accepts, rows by brute force.
+
+    The ambient group is G itself, so every element code is a member.
+    """
+    codes = enumerate_closure(G, G.generators)
+    words = {}
+    for t in range(t_max + 1):
+        for elements in itertools.product(codes, repeat=t):
+            for primes in itertools.product(prime_set, repeat=t):
+                rows = []
+                for (_, _, _, prefix), target in relation_targets(G, G.generators, elements, primes):
+                    key = (elements[:prefix], primes[:prefix])
+                    if key not in words:
+                        words[key] = _words(G, *key)
+                    row = words[key].get(target)
+                    if row is None:
+                        break
+                    rows.append(row)
+                else:
+                    c = Commitment(elements, primes, tuple(rows))
+                    if verifier_check_commitment(G, G.generators, c) is None:
+                        yield c
+
+
+def test_every_accepted_commitment_on_s3_is_sound():
+    # Every commitment over S3, as its own ambient group, with t <= 3 and
+    # primes from {2, 3, 5}.  Per masked tuple mu, a cheating prover picks
+    # a plan: decompose some trivial rounds (factor 1) and guess the bit of
+    # every other round (factor r_i).  The plan wins when its bits are
+    # right and its order is not |G|; its best chance, summed over mu, is
+    # the commitment's exact soundness error.  Each committed tower's chain
+    # is built from scratch.
+    G = make_group(parse_group_spec("perm:3:(1 2),(1 2 3)"))
+    order = group_order(G)
+    errors = []
+    for c in _accepted_commitments(G, 3, (2, 3, 5)):
+        chain = get_chain(G, c.elements)
+        assert math.prod(chain.quotient_orders) == order
+        joint = {}
+        for p, state, masked in _challenge_paths(G, chain, c.elements, c.primes):
+            joint.setdefault(masked, Counter())[state.secret_bits] += p
+        trivial = [i for i, m in enumerate(chain.quotient_orders) if m == 1]
+        plans = []
+        for n in range(len(trivial) + 1):
+            for decomposed in itertools.combinations(trivial, n):
+                guessed = [i for i in range(len(c.elements)) if i not in decomposed]
+                if math.prod(c.primes[i] for i in guessed) != order:
+                    plans.append(guessed)
+        error = Fraction(0)
+        for bits in joint.values():
+            best = Fraction(0)
+            for guessed in plans:
+                marginal = Counter()
+                for s, p in bits.items():
+                    marginal[tuple(s[i] for i in guessed)] += p
+                best = max(best, *marginal.values())
+            error += best
+        errors.append(error)
+    assert len(errors) == 186
+    assert max(errors) == Fraction(1, 2)
 
 
 # -- wire codec -----------------------------------------------------------------

@@ -23,12 +23,13 @@ j must lie in [0, r_j), with r_j the prime attached there (``_row_fault``).
 A trial pays for what its messages carry, not for their length, and the
 verifier never asks the oracle what it can already see: an answer that
 code equality or an earlier answer in the same call decides costs no
-query.  A challenge round costs a product only when its secret bit is 1
-and neither its element nor its mask is the identity.  A relation target
-with an identity operand is read off by code equality
-(``prover.relation_targets``).  One word evaluator per check or finalize
-call (``_word_evaluator``) skips identity bases and computes each distinct
-power and each distinct word of the message once.  Response rows over a
+query.  A challenge round costs a product only when its secret bit is 1,
+its element is neither the identity nor an earlier round's, and its mask
+is not the identity.  A relation target with an identity operand is read
+off by code equality (``prover.relation_targets``).  One word evaluator
+per check or finalize call (``_word_evaluator``) skips identity bases and
+computes each distinct power and each distinct product (word so far,
+power) of the message once.  Response rows over a
 long tower are mostly zeros: the message's sizing, the row check and the
 word evaluation step over the nonzero entries only, and their zeros are
 scanned by builtins in C.  The runner sizes each message it logs by
@@ -385,22 +386,30 @@ def _issue_challenge(
     Round i's mask x is a uniform element of level i-1 from the tower's
     normal-form table, built once per tower and amortized, so a draw makes
     no oracle query: the simulator's stand-in for the paper's sampler.  The
-    masked element h_i^s·x costs one product only when s = 1 and neither
-    h_i nor x is the identity; otherwise it is x (s = 0 or h_i the
-    identity) or h_i (x the identity).  Both are codes the oracle accepts
-    (a table element; the tower's own h_i, or a committed one the
-    commitment check raised to its prime), and a code it accepts is the
-    one it gives that element, so each shortcut sends the code the product
-    would return.  Every round makes the same two draws, shortcut or not.
+    paper masks h_i as h_i^s·x.  A round whose element is the identity or
+    an earlier round's (code equality against a set seeded with the
+    identity) has h_i in L_{i-1}, where h_i^s·x and x have the same law for
+    both bits, so it sends x at no query.  A new element costs one product
+    only when s = 1 and x is not the identity; otherwise it sends x (s = 0)
+    or h_i (x the identity).  Both are codes the oracle accepts (a table
+    element; the tower's own h_i, or a committed one the commitment check
+    raised to its prime), and a code it accepts is the one it gives that
+    element, so these shortcuts, and the identity element's, send the code
+    the product would return.  Every round makes the same two draws,
+    shortcut or not, so the rng stream does not depend on them.
     """
     bits, masked = [], []
     identity = G.identity
+    seen = {identity}
     for i, h in enumerate(elements):
         s = rng.getrandbits(1)
         x = chain.level_element(i, rng.randrange(chain.level_order(i)))
         bits.append(s)
-        masked.append(x if not s or h == identity else h if x == identity
-                      else G.product(h, x))
+        if h in seen:
+            masked.append(x)
+        else:
+            seen.add(h)
+            masked.append(x if not s else h if x == identity else G.product(h, x))
     return VerifierState(G, tuple(elements), tuple(primes), tuple(bits)), tuple(masked)
 
 
@@ -432,30 +441,36 @@ def _word_evaluator(
     whose element is not the identity.  An identity base contributes
     nothing, at no query; so does a power that comes out the identity, and
     a product with the identity so far is its other operand.  Each distinct
-    (position, exponent) power and each distinct word, keyed by its terms,
-    is computed once.  One evaluator serves one verifier call, so its memo
-    lives for that call and holds at most one power per nonzero entry and
-    one word per row of the message.
+    (position, exponent) power and each distinct product (word so far,
+    power), keyed by their codes, is computed once, so rows that share a
+    prefix share its products and a repeated word costs nothing.  One
+    evaluator serves one verifier call, so its memo lives for that call and
+    holds at most one power and one product per nonzero entry of the
+    message.
     """
     identity = G.identity
     powers: dict[tuple[int, int], ElementCode] = {}
-    words: dict[tuple, ElementCode] = {}
+    products: dict[tuple[ElementCode, ElementCode], ElementCode] = {}
 
     def word(row: Sequence[int]) -> ElementCode:
-        nonzero = list(compress(range(len(row)), row))
-        if not nonzero:
-            return identity
-        terms = tuple([(j, row[j]) for j in nonzero if elements[j] != identity])
-        value = words.get(terms)
-        if value is None:
-            value = identity
-            for term in terms:
-                p = powers.get(term)
-                if p is None:
-                    p = powers[term] = G.power(elements[term[0]], term[1])
-                if p != identity:
-                    value = p if value == identity else G.product(value, p)
-            words[terms] = value
+        value = identity
+        for j in compress(range(len(row)), row):
+            if elements[j] == identity:
+                continue
+            term = (j, row[j])
+            p = powers.get(term)
+            if p is None:
+                p = powers[term] = G.power(elements[j], term[1])
+            if p == identity:
+                continue
+            if value == identity:
+                value = p
+                continue
+            pair = (value, p)
+            product = products.get(pair)
+            if product is None:
+                product = products[pair] = G.product(value, p)
+            value = product
         return value
 
     return word

@@ -110,7 +110,7 @@ def test_readme_transcript_log_is_byte_identical(tmp_path):
         primes=(2, 3), trials=2000, seed=1, transcripts=str(log),
     ))
     digest = hashlib.sha256(log.read_bytes()).hexdigest()
-    assert digest == "5b2d22fe44e71a8dccd30617091f10a7345abb2b0d07256708ea42e58c4c5221"
+    assert digest == "7e11587a2cc4365a9caf610ad23052f964f391a26aae0aec3fb9ca005376334b"
 
 
 def test_transcript_log_is_written_as_trials_finish(tmp_path, monkeypatch):

@@ -76,12 +76,24 @@ def test_setup_trivial_group_yields_order_one(group_for):
     assert verifier_finalize(state, Response((), ())) == Outcome.of(1)
 
 
+def _visibly_trivial(G, elements):
+    """Per round, whether its element is the identity or an earlier round's element."""
+    seen = {G.identity}
+    trivial = []
+    for h in elements:
+        trivial.append(h in seen)
+        seen.add(h)
+    return trivial
+
+
 def _masks(state, challenge):
-    """Each round's mask, recovered as (h_i^{s_i})^-1 * masked_i."""
+    """Each round's mask: masked_i on a visibly trivial round, else (h_i^{s_i})^-1 * masked_i."""
     G = state.G
     return [
-        G.product(G.inverse(G.power(h, s)), masked)
-        for h, s, masked in zip(state.elements, state.secret_bits, challenge.masked)
+        masked if trivial else G.product(G.inverse(G.power(h, s)), masked)
+        for h, s, masked, trivial in zip(
+            state.elements, state.secret_bits, challenge.masked,
+            _visibly_trivial(G, state.elements))
     ]
 
 
@@ -106,50 +118,74 @@ def test_challenge_carries_tower_in_2msg_only(group_for):
     assert "elements" not in body
 
 
-def _paid_rounds(state, challenge):
-    """Rounds whose secret bit is 1 and whose element and mask are not the identity."""
+def _shortcuts(state, challenge):
+    """How each round whose secret bit is 1 is masked, counted by rule.
+
+    "identity" and "repeat" rounds send the mask, "x=1" rounds send h_i,
+    and "paid" rounds, a new element under a mask other than the identity,
+    send the product h_i·x.
+    """
     G = state.G
-    return sum(1 for s, h, x in zip(state.secret_bits, state.elements, _masks(state, challenge))
-               if s and h != G.identity and x != G.identity)
+    kinds = Counter()
+    for h, s, x, trivial in zip(state.elements, state.secret_bits, _masks(state, challenge),
+                                _visibly_trivial(G, state.elements)):
+        if s:
+            kinds["identity" if h == G.identity else "repeat" if trivial
+                  else "x=1" if x == G.identity else "paid"] += 1
+    return kinds
+
+
+def _paid_rounds(state, challenge):
+    """Rounds whose element is new, whose secret bit is 1 and whose mask is not the identity."""
+    return _shortcuts(state, challenge)["paid"]
 
 
 @pytest.mark.parametrize("spec", [S4, WREATH])
 def test_challenge_pays_one_product_per_masked_round(group_for, spec):
-    # h^s * x costs a product only when s = 1 and neither h nor x is the identity.
+    # h^s * x costs a product only when s = 1, h is neither the identity
+    # nor an earlier round's element, and x is not the identity.  On each
+    # seed every shortcut fires and at least one round pays.
     G = group_for(spec)
     primes = (2, 3)
     get_chain(G, refine_with_primes(G, compute_pcgs(G), primes).elements)
-    for seed in (1, 2, 3):
+    for seed in (1, 2, 5):
         meter = QueryMeter(G)
         with meter.measuring():
             state, challenge = verifier_setup_2msg(G, primes, seed)
-        paid = _paid_rounds(state, challenge)
-        assert 0 < paid < sum(state.secret_bits)
-        assert meter.snapshot() == QueryCounts(product=paid, inverse=0)
+        kinds = _shortcuts(state, challenge)
+        assert set(kinds) == {"identity", "repeat", "x=1", "paid"}
+        assert meter.snapshot() == QueryCounts(product=_paid_rounds(state, challenge), inverse=0)
 
 
 def test_3msg_challenge_pays_one_product_per_masked_round(group_for):
+    # S4's compacted tower forged with one more element, the identity or
+    # h_1 again: the forged round sends its mask for either bit.
     G = group_for(S4)
     c = honest_commitment(G)
-    chain = get_chain(G, c.elements)
-    for seed in (1, 2, 3):
-        meter = QueryMeter(G)
-        with meter.measuring():
-            state, masked = protocol_mod._issue_challenge(
-                G, chain, c.elements, c.primes, Random(seed))
-        paid = _paid_rounds(state, protocol_mod.Challenge(masked=masked))
-        assert meter.snapshot() == QueryCounts(product=paid, inverse=0)
+    for extra, shortcut in ((G.identity, "identity"), (c.elements[0], "repeat")):
+        elements = c.elements + (extra,)
+        chain = get_chain(G, elements)
+        for seed in (2, 5, 13):
+            meter = QueryMeter(G)
+            with meter.measuring():
+                state, masked = protocol_mod._issue_challenge(
+                    G, chain, elements, c.primes + (2,), Random(seed))
+            challenge = protocol_mod.Challenge(masked=masked)
+            assert set(_shortcuts(state, challenge)) == {shortcut, "x=1", "paid"}
+            assert meter.snapshot() == QueryCounts(product=_paid_rounds(state, challenge), inverse=0)
 
 
 #: blake2b-128 of each honest run's challenge body, in canonical bytes, and
-#: the run's ``message_bytes()``.  A challenge round that skips its identity
-#: product must send the code the product would have returned.
+#: the run's ``message_bytes()``.  A round whose element is the identity
+#: sends the code the product would have returned, its mask; a round whose
+#: element repeats an earlier round's sends its mask for either bit, so its
+#: masked code and the digest move with that rule but the bytes do not.
 PINNED_CHALLENGES = {
-    (WREATH, "2msg", 1): ("6a8ccfa3f614b167909ea510cadb2712", 195783),
-    (WREATH, "2msg", 2): ("51082722a12b544dfa504a792375eee3", 195783),
-    (WREATH, "2msg", 3): ("4429a49abfacd3edd82a043975024421", 195783),
-    (WREATH, "2msg", 4): ("1d76f22b74c706988f5e92b87d4c9bd8", 195783),
-    (WREATH, "2msg", 5): ("c10073cc85f3be2446e2da1460bf1529", 195783),
+    (WREATH, "2msg", 1): ("b039186130761705184fcee89df4bf99", 195783),
+    (WREATH, "2msg", 2): ("3bfaf927bed7ece05673f2b36fb25325", 195783),
+    (WREATH, "2msg", 3): ("d7547c4b7c6624f43580ccc25d03fa8b", 195783),
+    (WREATH, "2msg", 4): ("0ef10486e8864a7ccb4b6e4de90a450c", 195783),
+    (WREATH, "2msg", 5): ("16e3af2482e682610a04f4ae37af06b4", 195783),
     (S4, "3msg", 1): ("002bec3663bc9bc82f5ab882a907a337", 282),
     (S4, "3msg", 2): ("a6b5a2070971511a02f3ea4157c3a5f3", 282),
     (S4, "3msg", 3): ("396653b1ae6d9777c6abeca569443eb9", 282),
@@ -764,6 +800,40 @@ def test_finalize_pays_nothing_for_identity_bases_or_repeated_words(group_for):
     assert costs == [QueryCounts(product=1), QueryCounts(product=3)]
 
 
+#: cyclic:32768 and S4×S3 as the benchmark relabels them.
+C32768 = "cyclic:32768@seed=14532532462565509960"
+S4xS3 = "direct:perm:4:(1 2),(1 2 3 4),perm:3:(1 2),(1 2 3)@seed=12941607889395588414"
+
+
+def test_finalize_pays_once_per_distinct_product(group_for):
+    # The honest rows over cyclic:32768's 45-round tower share prefixes:
+    # each distinct (word so far, power) product is made once, so finalize
+    # costs 58 products, where a memo of whole words (the priced
+    # reference) pays 78.
+    G = group_for(C32768)
+    state, challenge = verifier_setup_2msg(G, (2,), 1)
+    response = make_prover("honest", G, Random(1)).respond(state.elements, challenge.masked)
+    costs = []
+    for finalize in (verifier_finalize, _reference_finalize):
+        meter = QueryMeter(G)
+        with meter.measuring():
+            assert finalize(state, response) == Outcome.of(32768)
+        costs.append(meter.snapshot())
+    assert len(state.elements) == 45
+    assert costs == [QueryCounts(product=58), QueryCounts(product=78)]
+
+
+def test_commitment_check_pays_once_per_distinct_product(group_for):
+    # S4×S3's honest check shares products between rows, at 130 products
+    # and 9 inverses where a memo of whole words paid 139 and 9.
+    G = group_for(S4xS3)
+    commitment = honest_commitment(G)
+    meter = QueryMeter(G)
+    with meter.measuring():
+        assert verifier_check_commitment(G, G.generators, commitment) is None
+    assert meter.snapshot() == QueryCounts(product=130, inverse=9)
+
+
 # -- full runs ----------------------------------------------------------------
 
 def test_run_2msg_honest_on_fixtures(group_for, protocol_fixtures):
@@ -1177,17 +1247,17 @@ def test_large_levels_draw_masks_from_the_table(group_for):
 #: the order in which each cheating round draws its random numbers; the
 #: seed-2 3-message order_forger run is accepted with the forged order 48.
 PINNED_S4_DIGESTS = {
-    ("2msg", "honest", 1): "8beb8f8ddef93819eb1a20b882dbc68e",
-    ("2msg", "honest", 2): "b7e1af1f3d6114e000d268a749150d5b",
-    ("2msg", "guess_inflate", 1): "f3294918a6be64fd739ec4f88caf4b3a",
-    ("2msg", "guess_inflate", 2): "775ab8372e36d9f222b0a6baf5508314",
+    ("2msg", "honest", 1): "85a0db599191ae22c85e048067ba59ef",
+    ("2msg", "honest", 2): "2e697667cb007ffd2490eb4d4ac3f24a",
+    ("2msg", "guess_inflate", 1): "5f04326a12c2f14b172acd427e176c69",
+    ("2msg", "guess_inflate", 2): "5220913052edc339a81dfecc171596b5",
     ("3msg", "honest", 1): "372d3e58de0b1d85e1b4c663dbd81078",
     ("3msg", "honest", 2): "bd31e8f4a2a670f4b244faa491595f5b",
     ("3msg", "guess_inflate", 1): "372d3e58de0b1d85e1b4c663dbd81078",
     ("3msg", "guess_inflate", 2): "bd31e8f4a2a670f4b244faa491595f5b",
-    ("2msg", "deflate", 1): "5ea04587b972120097863091571acb5f",
-    ("2msg", "order_forger", 1): "42e511de9ead7253f2603dc0347b0438",
-    ("3msg", "order_forger", 1): "dd966edb0ea1687ba230050de207dd4b",
+    ("2msg", "deflate", 1): "756ca0de06f40fd79cfa902fadd3a480",
+    ("2msg", "order_forger", 1): "5994f41c7dd03270bea953fa3a014ef8",
+    ("3msg", "order_forger", 1): "cb5cc5a16fcb3f91eae6e47edc53751c",
     ("3msg", "order_forger", 2): "41a873d8ae136a9c0f10eaac9795c719",
 }
 
@@ -1339,6 +1409,69 @@ def _challenge_paths(G, chain, elements, primes):
         if not path:
             return
         path[-1] += 1
+
+
+def _tower(G, name):
+    """(chain, elements, primes) of a 2-message tower, or of S4's forged 3-message tower."""
+    if name.startswith("forged-"):
+        c = honest_commitment(G)
+        extra = G.identity if name == "forged-identity" else c.elements[0]
+        elements, primes = c.elements + (extra,), c.primes + (2,)
+    else:
+        refined = refine_with_primes(G, compute_pcgs(G), (2, 3))
+        elements, primes = refined.elements, refined.primes
+    return get_chain(G, elements), elements, primes
+
+
+@pytest.mark.parametrize("spec", [S4, "cyclic:12", WREATH])
+def test_challenge_mean_cost_is_exact(group_for, spec):
+    # A round costs a product when its element is new (not the identity
+    # nor an earlier round's), s = 1 and x is not the identity: with
+    # probability 1/2 * (1 - 1/|L_{i-1}|).  Every level divides the last,
+    # |L_{t-1}| = N, so over the 2N draw paths that give every round the
+    # bit s and the mask index k mod |L_{i-1}|, for s in {0, 1} and k < N,
+    # each round meets each of its (s, mask) pairs equally often, and the
+    # mean cost of a path is the exact expected cost of a challenge.
+    G = group_for(spec)
+    chain, elements, primes = _tower(G, spec)
+    orders = [chain.level_order(i) for i in range(len(elements))]
+    n = orders[-1]
+    assert all(n % order == 0 for order in orders)
+    meter = QueryMeter(G)
+    with meter.measuring():
+        for s in (0, 1):
+            for k in range(n):
+                path = [draw for order in orders for draw in (s, k % order)]
+                protocol_mod._issue_challenge(G, chain, elements, primes, _ReplayRng(path))
+    expected = sum(Fraction(1, 2) * (1 - Fraction(1, order))
+                   for order, trivial in zip(orders, _visibly_trivial(G, elements)) if not trivial)
+    assert meter.snapshot().inverse == 0
+    assert Fraction(meter.snapshot().product, 2 * n) == expected
+
+
+@pytest.mark.parametrize("tower", [S4, "cyclic:12", WREATH, "forged-identity", "forged-repeat"])
+def test_visibly_trivial_rounds_hide_the_bit_exactly(group_for, tower):
+    # A round whose element is the identity or an earlier round's lies in
+    # L_{i-1}, so it sends its mask x for either bit: over every mask index
+    # of L_{i-1}, the codes it sends for s are exactly h_i^s·x's.  The
+    # forged towers are S4's compacted tower with the identity or h_1
+    # appended.  Each draw path gives every round the same bit s and mask
+    # index k, or 0 past its level's end.
+    G = group_for(S4 if tower.startswith("forged-") else tower)
+    chain, elements, primes = _tower(G, tower)
+    orders = [chain.level_order(i) for i in range(len(elements))]
+    rounds = [i for i, trivial in enumerate(_visibly_trivial(G, elements), start=1) if trivial]
+    assert rounds
+    sent = {(i, s): Counter() for i in rounds for s in (0, 1)}
+    for s in (0, 1):
+        for k in range(max(orders)):
+            path = [draw for order in orders for draw in (s, k if k < order else 0)]
+            _, masked = protocol_mod._issue_challenge(G, chain, elements, primes, _ReplayRng(path))
+            for i in rounds:
+                if k < orders[i - 1]:
+                    sent[i, s][masked[i - 1]] += 1
+    for (i, s), codes in sent.items():
+        assert codes == challenge_code_distribution(G, chain, i, s), (i, s)
 
 
 @pytest.mark.parametrize("name", PROTOCOL_FIXTURES)
